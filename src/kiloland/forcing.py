@@ -19,6 +19,7 @@ single precision.
 from __future__ import annotations
 
 import calendar
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,13 +324,20 @@ class ForcingStream:
     """Reader over consecutive monthly files serving interpolated fields.
 
     Immutable after open; several streams over the same files are safe.
-    Coverage is [first record, last record + 3h): linear-mode variables
-    interpolate between bracketing records and hold the final record over
-    its trailing interval; nearest-mode variables take the record whose
-    left-closed 3-hour bin contains t.
+    Linear-mode variables interpolate between bracketing records and hold
+    the final record of the data over its trailing interval; nearest-mode
+    variables take the record whose left-closed 3-hour bin contains t.
+
+    A full stream covers [first record, last record + 3h). A windowed
+    stream (`window=(start, end)`, hours) covers exactly the closed window
+    [start, end]: it holds the records from the one whose bin contains
+    `start` through the one after the record whose bin contains `end` (the
+    interpolation partner), so inside the window it serves the same fields,
+    bit for bit, as the full stream. The trailing hold therefore applies
+    only at the real end of the data, never at a window's edge.
     """
 
-    def __init__(self, time_axis: np.ndarray, values: dict):
+    def __init__(self, time_axis: np.ndarray, values: dict, window=None):
         self.time = np.asarray(time_axis, dtype=np.float64)
         if self.time.size == 0:
             raise ValueError("empty forcing stream")
@@ -337,16 +345,22 @@ class ForcingStream:
             raise ValueError("forcing time axis must be strictly increasing")
         self.values = values
         self.n_cols = next(iter(values.values())).shape[1]
+        self.window = None if window is None else (float(window[0]), float(window[1]))
 
     @classmethod
-    def open(cls, paths: list, columns=None) -> "ForcingStream":
+    def open(cls, paths: list, columns=None, window=None) -> "ForcingStream":
         """Concatenate monthly files; `columns` restricts to a gridcell
-        subset (e.g. one rank's cells, in local order)."""
-        times = []
-        parts = {name: [] for name in VARIABLES}
-        last_end = None
-        for path in paths:
-            with cdf.read_file(path) as f:
+        subset (e.g. one rank's cells, in local order) and `window` to the
+        records that serve the closed time window (start, end) in hours.
+
+        Every file's time axis is read (months must follow each other
+        without a gap); a file outside the window gives no data reads.
+        """
+        with ExitStack() as stack:
+            files = [stack.enter_context(cdf.read_file(p)) for p in paths]
+            times = []
+            last_end = None
+            for path, f in zip(paths, files):
                 t = f.read("time")
                 if last_end is not None and abs(t[0] - last_end) > 1e-9:
                     raise ValueError(
@@ -354,26 +368,39 @@ class ForcingStream:
                     )
                 last_end = t[-1] + STEP_HOURS
                 times.append(t)
+            time_axis = np.concatenate(times)
+            lo, hi = _record_range(time_axis, window)
+            parts = {name: [] for name in VARIABLES}
+            offset = 0
+            for f, t in zip(files, times):
+                r0, r1 = max(lo - offset, 0), min(hi - offset, t.size)
+                offset += t.size
+                if r0 >= r1:
+                    continue
                 n_land = f.model.dim("gridcell").length
                 for name in VARIABLES:
-                    parts[name].append(_read_columns(f, name, n_land, columns))
-        time_axis = np.concatenate(times)
-        values = {name: np.concatenate(parts[name], axis=0) for name in VARIABLES}
-        return cls(time_axis, values)
+                    parts[name].append(_read_columns(f, name, n_land, columns, r0, r1))
+        values = {name: _join(parts[name]) for name in VARIABLES}
+        return cls(time_axis[lo:hi], values, window)
 
     @property
     def coverage(self) -> tuple:
+        if self.window is not None:
+            return self.window
         return float(self.time[0]), float(self.time[-1] + STEP_HOURS)
 
     def fields_at(self, t_hours: float) -> dict:
         """Per-variable float64 fields at simulation time t (hours)."""
         lo, hi = self.coverage
-        if not lo <= t_hours < hi:
+        closed = self.window is not None
+        if not (lo <= t_hours <= hi if closed else lo <= t_hours < hi):
             raise ValueError(
-                f"t={t_hours}h outside forcing coverage [{lo}h, {hi}h)"
+                f"t={t_hours}h outside forcing coverage [{lo}h, {hi}h{']' if closed else ')'}"
             )
         j = int(np.searchsorted(self.time, t_hours, side="right") - 1)
         out = {}
+        # A window always holds the partner of its last bracketing record,
+        # so j is the final stored record only at the end of the data.
         exact = self.time[j] == t_hours or j == self.time.size - 1
         for name, spec in VARIABLES.items():
             rows = self.values[name]
@@ -387,19 +414,42 @@ class ForcingStream:
         return out
 
 
-def _read_columns(f: cdf.CdfFile, name: str, n_land: int, columns):
-    """Read (time, gridcell) columns in row chunks bounded to ~64 MiB."""
-    n_steps = f.numrecs
+def _record_range(time_axis: np.ndarray, window) -> tuple:
+    """Records [lo, hi) that serve every t of the closed window: from the
+    record whose bin holds the start through the partner of the record
+    whose bin holds the end, clipped to the data; all of them without a
+    window."""
+    if window is None:
+        return 0, time_axis.size
+    start, end = window
+    first, stop = float(time_axis[0]), float(time_axis[-1] + STEP_HOURS)
+    if not first <= start <= end < stop:
+        raise ValueError(
+            f"window [{start}h, {end}h] outside forcing coverage [{first}h, {stop}h)"
+        )
+    lo = int(np.searchsorted(time_axis, start, side="right")) - 1
+    hi = int(np.searchsorted(time_axis, end, side="right")) + 1
+    return lo, min(hi, time_axis.size)
+
+
+def _join(parts: list) -> np.ndarray:
+    """Concatenate row blocks; a single block is used as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+
+
+def _read_columns(f: cdf.CdfFile, name: str, n_land: int, columns, r0: int, r1: int):
+    """Read records [r0, r1) of a (time, gridcell) variable; a `columns`
+    subset is sliced in row chunks bounded to ~64 MiB."""
     if columns is None:
-        return f.read(name)
+        return f.read_slab(name, (r0, 0), (r1 - r0, n_land))
     columns = np.asarray(columns)
     chunk = max(1, (64 * 2**20) // max(n_land * 4, 1))
-    parts = []
-    for r0 in range(0, n_steps, chunk):
-        nr = min(chunk, n_steps - r0)
-        rows = f.read_slab(name, (r0, 0), (nr, n_land))
-        parts.append(rows[:, columns])
-    return np.concatenate(parts, axis=0)
+    return _join(
+        [
+            f.read_slab(name, (a, 0), (min(chunk, r1 - a), n_land))[:, columns]
+            for a in range(r0, r1, chunk)
+        ]
+    )
 
 
 def interpolate_to_timestep(stream: ForcingStream, t_hours: float) -> dict:

@@ -56,14 +56,17 @@ class TimerTree:
         return node
 
     @contextmanager
-    def region(self, name: str):
-        node = self.child(name)
+    def timed(self):
+        """Time one pass through this node's own region."""
         t0 = time.perf_counter()
         try:
-            yield node
+            yield self
         finally:
-            node.seconds += time.perf_counter() - t0
-            node.count += 1
+            self.seconds += time.perf_counter() - t0
+            self.count += 1
+
+    def region(self, name: str):
+        return self.child(name).timed()
 
     def add(self, name: str, seconds: float, count: int = 1) -> None:
         node = self.child(name)
@@ -288,16 +291,18 @@ def predict_times(model: CostModel, n_cells: int, n_steps: int, core_counts: lis
 CSV_HEADER = "case,component,phase,cores,seconds,sypd,speedup,efficiency"
 
 
-def scaling_csv(table: ScalingTable) -> str:
+def scaling_csv(*tables: ScalingTable) -> str:
+    """One header line, then the init and run rows of every table."""
     lines = [CSV_HEADER]
-    for r, s, e in zip(table.records, table.speedup, table.efficiency):
-        lines.append(
-            f"{r.case},{r.component},init,{r.n_cores},{r.init_seconds:.6f},,,"
-        )
-        lines.append(
-            f"{r.case},{r.component},run,{r.n_cores},{r.run_seconds:.6f},"
-            f"{r.sypd:.4f},{s:.4f},{e:.4f}"
-        )
+    for table in tables:
+        for r, s, e in zip(table.records, table.speedup, table.efficiency):
+            lines.append(
+                f"{r.case},{r.component},init,{r.n_cores},{r.init_seconds:.6f},,,"
+            )
+            lines.append(
+                f"{r.case},{r.component},run,{r.n_cores},{r.run_seconds:.6f},"
+                f"{r.sypd:.4f},{s:.4f},{e:.4f}"
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -422,8 +427,7 @@ def run_scaling_suite(
     tables = {comp: ScalingTable(recs) for comp, recs in rows.items()}
     csv_path = os.path.join(out_dir, f"scaling_{mode}.csv")
     with open(csv_path, "w") as fh:
-        for comp in ("ATM", "CPL", "LND"):
-            fh.write(scaling_csv(tables[comp]))
+        fh.write(scaling_csv(*(tables[comp] for comp in ("ATM", "CPL", "LND"))))
     svg_path = os.path.join(out_dir, f"scaling_{mode}_lnd.svg")
     with open(svg_path, "w") as fh:
         fh.write(render_scaling_svg(tables["LND"], f"LND {mode} scaling"))

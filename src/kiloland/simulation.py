@@ -317,8 +317,9 @@ def _couple(fields: dict) -> dict:
 
 def _run_worker_segment(task: _WorkerTask):
     timers = TimerTree(f"worker{task.worker_id}")
+    window = (task.step_lo * task.dt_hours, (task.step_hi - 1) * task.dt_hours)
     with timers.region("atm"):
-        stream = ForcingStream.open(task.forcing_paths, columns=task.columns)
+        stream = ForcingStream.open(task.forcing_paths, columns=task.columns, window=window)
     state = task.state
     sums = task.sums
     count = task.count
@@ -786,11 +787,17 @@ class _Run:
             fh.write(f"version = {__version__}\n")
 
 
+def _simulate(cfg: CaseConfig, out_dir: str, resume_entries=None, extra_days=None) -> RunResult:
+    """Set up and execute one run inside the root `run` timer region."""
+    run = _Run(cfg, out_dir)
+    with run.timers.timed():
+        run.setup(resume_entries=resume_entries, extra_days=extra_days)
+        return run.execute()
+
+
 def run_case(cfg: CaseConfig, out_dir: str) -> RunResult:
     """Run a case from its start date for cfg.n_days; see module docs."""
-    run = _Run(cfg, out_dir)
-    run.setup()
-    return run.execute()
+    return _simulate(cfg, out_dir)
 
 
 def resume_case(cfg: CaseConfig, out_dir: str, extra_days: int, restart_dir: str | None = None) -> RunResult:
@@ -806,9 +813,7 @@ def resume_case(cfg: CaseConfig, out_dir: str, extra_days: int, restart_dir: str
     with open(rpointer) as fh:
         entries = dict(line.strip().split(" = ", 1) for line in fh if " = " in line)
     entries["dir"] = rdir
-    run = _Run(cfg, out_dir)
-    run.setup(resume_entries=entries, extra_days=extra_days)
-    return run.execute()
+    return _simulate(cfg, out_dir, resume_entries=entries, extra_days=extra_days)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from csv import DictReader
 
 import pytest
 
@@ -241,6 +242,14 @@ class TestBenchPredictReport:
         captured = capsys.readouterr().out
         assert "LND 1 workers" in captured and "LND 2 workers" in captured
         csv = os.path.join(out, "scaling_strong.csv")
+        with open(csv) as fh:
+            lines = fh.read().splitlines()
+        assert sum(line.startswith("case,") for line in lines) == 1
+        with open(csv) as fh:
+            rows = list(DictReader(fh))
+        assert len(rows) == len(lines) - 1 == 3 * 2 * 2  # components x workers x phases
+        assert {r["component"] for r in rows} == {"ATM", "CPL", "LND"}
+        assert all(r["phase"] in ("init", "run") for r in rows)
         assert run_cli("report", "--csv", csv, "--out", out) == 0
         assert os.path.exists(os.path.join(out, "report_lnd.svg"))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kiloland.domain import compact
 from kiloland.forcing import (
@@ -265,3 +267,89 @@ class TestFiles:
         f_sub = sub.fields_at(7.0)
         for name in VARIABLES:
             np.testing.assert_array_equal(f_sub[name], f_full[name][cols])
+
+
+# Two consecutive months: January (248 records) and February 2014 (224).
+_N_RECORDS = 248 + 224
+_DATA_END = _N_RECORDS * STEP_HOURS
+_SUBSET = np.array([612, 5, 0, 200, 301])
+
+_hours = st.one_of(
+    st.integers(0, int(_DATA_END) * 4 - 1).map(lambda q: q / 4.0),
+    st.integers(0, _N_RECORDS - 1).map(lambda k: k * STEP_HOURS),
+    # Around the month boundary (744h) and inside the last record's
+    # trailing interval.
+    st.sampled_from([741.0, 742.5, 744.0, 745.5, 1413.0, 1414.5, 1415.75]),
+)
+
+
+@pytest.fixture(scope="module")
+def two_months(tmp_path_factory, aksp_mini):
+    out = tmp_path_factory.mktemp("two_months")
+    paths = gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 2)], out)
+    return paths, ForcingStream.open(paths)
+
+
+def _window_times(start, end, records):
+    """The window's ends plus, for every record inside it, the record time
+    and two points of its bin."""
+    inside = records[(records >= start) & (records <= end)]
+    ts = np.concatenate([[start, end], inside, inside + 1.0, inside + 2.25])
+    return np.unique(ts[(ts >= start) & (ts <= end)])
+
+
+class TestWindow:
+    @settings(max_examples=40, deadline=None)
+    @given(a=_hours, b=_hours, subset=st.booleans())
+    @example(a=0.0, b=23.0, subset=False)  # starts on a record
+    @example(a=1.0, b=24.0, subset=True)  # ends on a record
+    @example(a=742.5, b=744.0, subset=False)  # ends on the month boundary
+    @example(a=743.0, b=745.5, subset=True)  # crosses the month boundary
+    @example(a=1400.0, b=1415.75, subset=False)  # ends in the trailing interval
+    @example(a=1414.5, b=1414.5, subset=True)  # one instant at the data end
+    def test_window_matches_full_stream(self, two_months, a, b, subset):
+        paths, full = two_months
+        start, end = min(a, b), max(a, b)
+        cols = _SUBSET if subset else None
+        w = ForcingStream.open(paths, columns=cols, window=(start, end))
+        assert w.coverage == (start, end)
+        # The first record's bin holds the start; the last record is the
+        # partner of the one holding the end, or the last of the data.
+        assert w.time[0] <= start < w.time[0] + STEP_HOURS
+        assert w.time[-1] > end or w.time[-1] == full.time[-1]
+        for t in _window_times(start, end, full.time):
+            got = w.fields_at(float(t))
+            want = full.fields_at(float(t))
+            for name in VARIABLES:
+                ref = want[name] if cols is None else want[name][cols]
+                assert got[name].tobytes() == ref.tobytes(), (name, t)
+        for t in (start - 0.25, end + 0.25):
+            with pytest.raises(ValueError, match=rf"coverage \[{start}h, {end}h\]"):
+                w.fields_at(t)
+
+    def test_window_outside_data_rejected(self, two_months):
+        paths, _ = two_months
+        for window in [(-1.0, 5.0), (10.0, _DATA_END), (5.0, 4.0)]:
+            with pytest.raises(ValueError, match="outside forcing coverage"):
+                ForcingStream.open(paths, window=window)
+
+    def test_file_outside_window_gives_no_data_reads(self, two_months, monkeypatch):
+        from kiloland import cdf
+
+        paths, full = two_months
+        reads = []
+        read_slab = cdf.CdfFile.read_slab
+
+        def recording(self, name, start, count):
+            reads.append((name, tuple(start), tuple(count)))
+            return read_slab(self, name, start, count)
+
+        monkeypatch.setattr(cdf.CdfFile, "read_slab", recording)
+        w = ForcingStream.open(paths, window=(800.0, 820.0))
+        # Both time axes, then the February records 18..26 (798h..822h).
+        assert [r for r in reads if r[0] == "time"] == [
+            ("time", (0,), (248,)), ("time", (0,), (224,))
+        ]
+        data = [r[1:] for r in reads if r[0] != "time"]
+        assert data == [((18, 0), (9, full.n_cols))] * len(VARIABLES)
+        np.testing.assert_array_equal(w.values["TBOT"], full.values["TBOT"][266:275])

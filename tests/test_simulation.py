@@ -1,3 +1,4 @@
+import math
 import os
 from dataclasses import replace
 
@@ -287,6 +288,34 @@ class TestRunCase:
         assert res.component_seconds["lnd"] > 0
         assert res.init_seconds > 0
         res.timers.validate()
+
+    def test_root_run_region_timed(self, mini_inputs, tmp_path):
+        cfg = make_case_config(mini_inputs, n_days=2)
+        out = str(tmp_path / "root")
+        for res in (run_case(cfg, out), resume_case(cfg, out, extra_days=1)):
+            root = res.timers
+            assert root.name == "run" and root.seconds > 0 and root.count == 1
+            assert sum(c.seconds for c in root.children.values()) <= root.seconds
+            res.timers.validate()
+
+    def test_segments_read_only_their_window(self, mini_inputs, tmp_path, monkeypatch):
+        from kiloland.forcing import ForcingStream
+
+        opened = []
+        open_stream = ForcingStream.open
+
+        def recording(cls, paths, columns=None, window=None):
+            stream = open_stream(paths, columns=columns, window=window)
+            opened.append((window, stream.time.size))
+            return stream
+
+        monkeypatch.setattr(ForcingStream, "open", classmethod(recording))
+        cfg = make_case_config(mini_inputs, history_interval="daily", n_days=3)
+        run_case(cfg, str(tmp_path / "w"))
+        assert [w for w, _ in opened] == [(0.0, 23.0), (24.0, 47.0), (48.0, 71.0)]
+        for (start, end), n_records in opened:
+            segment_hours = end - start + cfg.dt_hours
+            assert n_records <= math.ceil(segment_hours / 3) + 1
 
     def test_provenance_sidecar(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs)
