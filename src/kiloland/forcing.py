@@ -39,7 +39,6 @@ __all__ = [
     "downscale_month",
     "forcing_filename",
     "gen_forcing_files",
-    "interpolate_to_timestep",
     "read_forcing_month",
     "synth_forcing",
     "write_forcing_month",
@@ -94,16 +93,21 @@ def downscale_day(daily, shape, mode: str) -> np.ndarray:
     shape = np.asarray(shape, dtype=np.float64)
     if shape.shape[-1] != STEPS_PER_DAY:
         raise ValueError(f"shape profile must have {STEPS_PER_DAY} steps")
-    if np.any(np.isnan(daily)) or np.any(np.isnan(shape)):
+    return _spread(daily[..., None], shape, mode, axis=-1)
+
+
+def _spread(d, shape, mode: str, axis: int) -> np.ndarray:
+    """The downscaling formulas on float64 operands that broadcast against
+    each other, with the 8 steps of `shape` along `axis`."""
+    if np.any(np.isnan(d)) or np.any(np.isnan(shape)):
         raise ValueError("NaN in downscaling input")
-    d = daily[..., None]
     if mode == ADDITIVE:
-        return d + (shape - shape.mean(axis=-1, keepdims=True))
+        return d + (shape - shape.mean(axis=axis, keepdims=True))
     if mode in (MULTIPLICATIVE, SUM_PRESERVING):
         if np.any(shape < 0):
             raise ValueError(f"{mode} profiles must be nonnegative")
-        agg = shape.mean(axis=-1, keepdims=True) if mode == MULTIPLICATIVE else shape.sum(
-            axis=-1, keepdims=True
+        agg = shape.mean(axis=axis, keepdims=True) if mode == MULTIPLICATIVE else shape.sum(
+            axis=axis, keepdims=True
         )
         uniform = d if mode == MULTIPLICATIVE else d / STEPS_PER_DAY
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -142,7 +146,13 @@ def downscale_month(
     offset_hours: float = 0.0,
 ) -> ForcingMonth:
     """Downscale a month of daily 2D fields to 3-hourly, land-compacted
-    records. `offset_hours` positions the month inside its period."""
+    records. `offset_hours` positions the month inside its period.
+
+    Each daily field is compacted to its land cells first, then downscaled
+    one day at a time: day k fills records [8k, 8k + 8) of a preallocated
+    C-contiguous float32 (n_steps, n_land) array, with the same float64
+    arithmetic per element as `downscale_day` on the whole grid.
+    """
     n_days = days_in_month(year, month)
     nj, ni = d.grid.n_rows, d.grid.n_cols
     values = {}
@@ -157,11 +167,14 @@ def downscale_month(
         prof = np.asarray(profiles.values[name], dtype=np.float64)
         if prof.shape != (n_days, STEPS_PER_DAY):
             raise ValueError(f"{name}: profile shape {prof.shape} != ({n_days}, 8)")
-        # (nj, ni, n_days) x (n_days, 8) profiles -> (nj, ni, n_days, 8),
-        # then reordered to consecutive 3-hourly records.
-        sub = downscale_day(daily.transpose(1, 2, 0), prof, spec.downscale_mode)
-        sub = sub.transpose(2, 3, 0, 1).reshape(n_days * STEPS_PER_DAY, nj, ni)
-        values[name] = compact(sub, d).astype(np.float32)
+        land = compact(daily, d)  # (n_days, n_land)
+        out = np.empty((n_days * STEPS_PER_DAY, d.n_land), dtype=np.float32)
+        for day in range(n_days):
+            rows = slice(day * STEPS_PER_DAY, (day + 1) * STEPS_PER_DAY)
+            out[rows] = _spread(
+                land[day][None, :], prof[day][:, None], spec.downscale_mode, axis=0
+            )
+        values[name] = out
     time_axis = offset_hours + np.arange(n_days * STEPS_PER_DAY) * STEP_HOURS
     return ForcingMonth(year, month, n_days * STEPS_PER_DAY, values, time_axis)
 
@@ -450,9 +463,3 @@ def _read_columns(f: cdf.CdfFile, name: str, n_land: int, columns, r0: int, r1: 
             for a in range(r0, r1, chunk)
         ]
     )
-
-
-def interpolate_to_timestep(stream: ForcingStream, t_hours: float) -> dict:
-    """Fields at simulation time t: linear between bracketing records for
-    linear-mode variables, left-closed nearest for precipitation."""
-    return stream.fields_at(t_hours)

@@ -36,7 +36,6 @@ from .decomp import build_iodecomp, make_plan, partition, rearrange_write, DEFAU
 from .domain import read_domain, replicate, write_domain
 from .forcing import ForcingStream, VARIABLES
 from .perf import TimerTree
-from .surface import read_surface
 
 __all__ = [
     "CaseConfig",
@@ -138,24 +137,25 @@ def step_cell(state: dict, forcing: dict, p: ToyParams, dt: float):
     }
 
 
-def init_state(surface_cols: dict, p: ToyParams, start_month: int) -> dict:
+def init_state(surface_cols: dict, p: ToyParams, month_lai: np.ndarray) -> dict:
     """Initial per-cell state from surface properties.
 
-    Leaf carbon seeds from the start month's PFT-weighted LAI, soil water
-    from the saturated-area fraction, soil carbon from mean clay content.
+    Leaf carbon seeds from the start month's PFT-weighted LAI (`month_lai`,
+    that month's (pft, gridcell) slice of MONTHLY_LAI), soil water from the
+    saturated-area fraction, soil carbon from mean clay content.
+
+    The sums over PFTs and soil layers run on cell-major (Fortran-ordered)
+    copies, so each cell's terms add in numpy's pairwise order whatever
+    the layout of the inputs.
     """
-    lai = (
-        surface_cols["MONTHLY_LAI"][start_month - 1]
-        * surface_cols["PCT_PFT"]
-        / 100.0
-    ).sum(axis=0)
+    lai = np.asfortranarray(month_lai * surface_cols["PCT_PFT"] / 100.0).sum(axis=0)
     n = lai.shape[0]
     return {
         "swe": np.zeros(n),
         "soil_water": p.w_cap * np.clip(surface_cols["FMAX"], 0.05, 0.95),
         "soil_temp": np.full(n, 275.0),
         "c_leaf": lai / p.lai_per_c,
-        "c_soil": 10.0 * surface_cols["PCT_CLAY"].mean(axis=0),
+        "c_soil": 10.0 * np.asfortranarray(surface_cols["PCT_CLAY"]).mean(axis=0),
     }
 
 
@@ -406,6 +406,19 @@ def _source_columns(n_land: int, n_copies: int, file_n: int, what: str) -> np.nd
     )
 
 
+def _read_init_surface(f: cdf.CdfFile, month: int, scols: np.ndarray) -> tuple:
+    """What `init_state` reads of a surface file: PCT_CLAY, FMAX and PCT_PFT,
+    and one month's (pft, gridcell) MONTHLY_LAI, read as one slab. They are
+    gathered through `scols` only when the domain replicates the file."""
+    _, n_pft, n = f.shape("MONTHLY_LAI")
+    cols = {name: f.read(name) for name in ("PCT_CLAY", "FMAX", "PCT_PFT")}
+    month_lai = f.read_slab("MONTHLY_LAI", (month - 1, 0, 0), (1, n_pft, n))[0]
+    if scols.size != n:
+        cols = {k: v[..., scols] for k, v in cols.items()}
+        month_lai = month_lai[:, scols]
+    return cols, month_lai
+
+
 def _crc(arr: np.ndarray, dtype: str) -> str:
     return f"{zlib.crc32(np.ascontiguousarray(arr).astype(dtype).tobytes()):08x}"
 
@@ -436,19 +449,22 @@ class _Run:
             self.columns = _source_columns(
                 self.n_land, self.domain.n_copies, file_n, "forcing"
             )
-            surf = read_surface(cfg.surface)
-            scols = _source_columns(
-                self.n_land, self.domain.n_copies, surf.n_land, "surface"
-            )
-            surf_cols = {k: v[..., scols] for k, v in surf.values.items()}
             self.part = partition(
                 self.n_land, cfg.lnd_workers, cfg.partition_scheme, cfg.block_size
             )
-            start_month = datetime.date.fromisoformat(cfg.start).month
+            # A resumed run reads no surface data, but still checks its cells.
+            with cdf.read_file(cfg.surface) as f:
+                scols = _source_columns(
+                    self.n_land, self.domain.n_copies, f.model.dim("gridcell").length,
+                    "surface",
+                )
+                if resume_entries is None:
+                    month = datetime.date.fromisoformat(cfg.start).month
+                    surf_cols, month_lai = _read_init_surface(f, month, scols)
+                    state = init_state(surf_cols, cfg.params, month_lai)
             if resume_entries is None:
                 self.start_step = 0
                 total_days = cfg.n_days
-                state = init_state(surf_cols, cfg.params, start_month)
                 self.sums = None
                 self.count = 0
                 self.window_start_hours = 0.0

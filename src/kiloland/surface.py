@@ -115,10 +115,12 @@ def nearest_indices(src: CoarseGrid, lat, lon) -> np.ndarray:
     return cand_sorted[np.arange(cand.shape[0]), first_min]
 
 
-def interp_nearest(src: CoarseGrid, lat, lon) -> dict:
+def interp_nearest(src: CoarseGrid, lat, lon, idx=None) -> dict:
     """Nearest-neighbor sampling of every source variable at the targets;
-    leading dims are carried through unchanged."""
-    idx = nearest_indices(src, lat, lon)
+    leading dims are carried through unchanged. `idx` reuses the
+    `nearest_indices` of the same grid and targets."""
+    if idx is None:
+        idx = nearest_indices(src, lat, lon)
     out = {}
     for name, v in src.values.items():
         v = np.asarray(v)
@@ -211,6 +213,7 @@ def build_surface(d: DomainSpec, src: CoarseGrid, methods: dict) -> SurfaceDatas
     lon = compact(d.xc, d)
     out = {}
     used = {}
+    idx = None  # nearest indices, shared by every "nearest" variable
     for name in src.values:
         method = methods.get(name)
         if method is None:
@@ -222,7 +225,12 @@ def build_surface(d: DomainSpec, src: CoarseGrid, methods: dict) -> SurfaceDatas
         if method not in _METHODS:
             raise ValueError(f"unknown interpolation method {method!r} for {name}")
         one = CoarseGrid(src.lat, src.lon, {name: src.values[name]})
-        out[name] = _METHODS[method](one, lat, lon)[name]
+        if method == "nearest":
+            if idx is None:
+                idx = nearest_indices(src, lat, lon)
+            out[name] = interp_nearest(one, lat, lon, idx)[name]
+        else:
+            out[name] = _METHODS[method](one, lat, lon)[name]
         used[name] = "bilinear" if method == "linear" else method
     for name, v in out.items():
         if name.startswith("PCT_"):

@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 
 from kiloland.domain import compact
 from kiloland.forcing import (
+    ForcingMonth,
     ForcingStream,
     STEP_HOURS,
     STEPS_PER_DAY,
+    ShapeProfile,
     VARIABLES,
     downscale_day,
     downscale_month,
     gen_forcing_files,
-    interpolate_to_timestep,
+    month_offset_hours,
     read_forcing_month,
     synth_forcing,
     write_forcing_month,
@@ -119,6 +121,85 @@ class TestDownscaleMonth:
             assert np.array_equal(direct, fm.values[name])
 
 
+def whole_grid_month(daily_fields, profiles, d, year, month, offset_hours=0.0):
+    """The former downscale_month: every variable downscaled over the whole
+    grid as (nj, ni, n_days, 8), reordered to records, then compacted."""
+    n_days = daily_fields["TBOT"].shape[0]
+    nj, ni = d.grid.n_rows, d.grid.n_cols
+    values = {}
+    for name, spec in VARIABLES.items():
+        daily = np.asarray(daily_fields[name], dtype=np.float64)
+        prof = np.asarray(profiles.values[name], dtype=np.float64)
+        sub = downscale_day(daily.transpose(1, 2, 0), prof, spec.downscale_mode)
+        sub = sub.transpose(2, 3, 0, 1).reshape(n_days * STEPS_PER_DAY, nj, ni)
+        values[name] = compact(sub, d).astype(np.float32)
+    time_axis = offset_hours + np.arange(n_days * STEPS_PER_DAY) * STEP_HOURS
+    return ForcingMonth(year, month, n_days * STEPS_PER_DAY, values, time_axis)
+
+
+def with_zero_day(profiles, day=3):
+    """Profiles whose FSDS and PRECT are all zero on one day, so the
+    uniform branch of the multiplicative and sum-preserving modes runs."""
+    values = {name: v.copy() for name, v in profiles.values.items()}
+    values["FSDS"][day] = 0.0
+    values["PRECT"][day] = 0.0
+    return ShapeProfile(values)
+
+
+class TestDownscaleMonthLandOnly:
+    def test_matches_per_cell_reference_with_zero_profile_day(self, aksp_mini):
+        (y, m, daily, prof) = synth_forcing(5, aksp_mini, [(2014, 1)])[0]
+        prof = with_zero_day(prof)
+        fm = downscale_month(daily, prof, aksp_mini, y, m)
+        for name, spec in VARIABLES.items():
+            land = compact(daily[name], aksp_mini)  # (n_days, n_land)
+            want = np.empty((fm.n_steps, aksp_mini.n_land), dtype=np.float32)
+            for cell in range(aksp_mini.n_land):
+                per_day = downscale_day(land[:, cell], prof.values[name], spec.downscale_mode)
+                want[:, cell] = per_day.reshape(-1)
+            assert np.array_equal(fm.values[name], want), name
+        # On the zero day every step holds the daily mean (FSDS) or an
+        # eighth of the daily total (PRECT).
+        day = slice(3 * STEPS_PER_DAY, 4 * STEPS_PER_DAY)
+        for name, share in (("FSDS", 1.0), ("PRECT", 8.0)):
+            want = (compact(daily[name], aksp_mini)[3] / share).astype(np.float32)
+            assert np.array_equal(fm.values[name][day], np.tile(want, (STEPS_PER_DAY, 1)))
+
+    def test_output_layout(self, aksp_mini):
+        (y, m, daily, prof) = synth_forcing(5, aksp_mini, [(2014, 2)])[0]
+        fm = downscale_month(daily, prof, aksp_mini, y, m)
+        for arr in fm.values.values():
+            assert arr.dtype == np.float32
+            assert arr.shape == (fm.n_steps, aksp_mini.n_land)
+            assert arr.flags.c_contiguous
+
+    def test_nan_rejected(self, aksp_mini):
+        (y, m, daily, prof) = synth_forcing(5, aksp_mini, [(2014, 1)])[0]
+        bad = dict(daily, QBOT=daily["QBOT"].copy())
+        bad["QBOT"][7].flat[aksp_mini.land_flat[10]] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            downscale_month(bad, prof, aksp_mini, y, m)
+        bad_prof = ShapeProfile({k: v.copy() for k, v in prof.values.items()})
+        bad_prof.values["TBOT"][20, 4] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            downscale_month(daily, bad_prof, aksp_mini, y, m)
+
+    def test_negative_profile_rejected(self, aksp_mini):
+        (y, m, daily, prof) = synth_forcing(5, aksp_mini, [(2014, 1)])[0]
+        prof.values["WIND"][30, 2] = -0.5
+        with pytest.raises(ValueError, match="nonnegative"):
+            downscale_month(daily, prof, aksp_mini, y, m)
+
+    def test_files_match_whole_grid_formula(self, aksp_mini, tmp_path):
+        months = [(2014, 1), (2014, 2)]
+        paths = gen_forcing_files(11, aksp_mini, months, tmp_path / "new")
+        for path, (y, m, daily, prof) in zip(paths, synth_forcing(11, aksp_mini, months)):
+            offset = month_offset_hours(months[0], y, m)
+            oracle = str(tmp_path / f"oracle_{m}.nc")
+            write_forcing_month(whole_grid_month(daily, prof, aksp_mini, y, m, offset), oracle)
+            assert open(path, "rb").read() == open(oracle, "rb").read()
+
+
 class TestSynth:
     def test_same_seed_bit_identical_files(self, aksp_mini, tmp_path):
         a = gen_forcing_files(9, aksp_mini, [(2014, 1)], tmp_path / "a")
@@ -215,11 +296,15 @@ class TestInterpolation:
         with pytest.raises(ValueError, match="coverage"):
             s.fields_at(-0.5)
 
-    def test_module_level_wrapper(self):
+    def test_fields_at_ramp_midpoint(self):
+        # Halfway between records 0 and 1 of the 0.75-per-record ramp.
         s = ramp_stream()
-        a, b = interpolate_to_timestep(s, 1.5), s.fields_at(1.5)
-        for name in VARIABLES:
-            np.testing.assert_array_equal(a[name], b[name])
+        fields = s.fields_at(1.5)
+        for name, spec in VARIABLES.items():
+            want = s.values[name][0].astype(np.float64)
+            if spec.interp_mode == "linear":
+                want = want + 0.375
+            np.testing.assert_array_equal(fields[name], want)
 
 
 class TestFiles:

@@ -23,6 +23,7 @@ from kiloland.simulation import (
     step_cell,
     step_cells,
 )
+from kiloland.surface import N_PFTS, SOIL_LAYERS, SurfaceDataset, read_surface, write_surface
 
 from conftest import make_case_config
 
@@ -222,17 +223,28 @@ class TestRunCase:
             for name in HIST_VARS:
                 assert f.shape(name) == (1, 613)
 
+    def test_init_state_independent_of_layout(self, mini_inputs):
+        from kiloland.simulation import init_state
+
+        surf = read_surface(str(mini_inputs / "surface.nc")).values
+        lai = surf["MONTHLY_LAI"][0]
+        c_order = init_state(surf, P, lai)
+        f_order = init_state(
+            {k: np.asfortranarray(v) for k, v in surf.items()}, P, np.asfortranarray(lai)
+        )
+        for name in STATE_VARS:
+            assert np.array_equal(c_order[name], f_order[name]), name
+
     def test_history_mean_equals_oracle(self, mini_inputs, tmp_path):
         # Recompute the mean from a 1-worker inline pass over the same
         # forcing; flushed value must match double-accumulate-then-round.
         from kiloland.forcing import ForcingStream
         from kiloland.simulation import _couple, init_state
-        from kiloland.surface import read_surface
 
         cfg = make_case_config(mini_inputs)
         res = run_case(cfg, str(tmp_path / "run"))
         surf = read_surface(cfg.surface)
-        s = init_state(surf.values, cfg.params, 1)
+        s = init_state(surf.values, cfg.params, surf.values["MONTHLY_LAI"][0])
         stream = ForcingStream.open(
             sorted(
                 os.path.join(cfg.forcing_dir, p) for p in os.listdir(cfg.forcing_dir)
@@ -317,11 +329,36 @@ class TestRunCase:
             segment_hours = end - start + cfg.dt_hours
             assert n_records <= math.ceil(segment_hours / 3) + 1
 
+    def test_setup_reads_only_what_init_state_uses(self, mini_inputs, tmp_path, monkeypatch):
+        surface_reads = record_surface_reads(monkeypatch)
+        cfg = make_case_config(mini_inputs, n_days=1, start="2014-03-01")
+        run_case(cfg, str(tmp_path / "s"))
+        assert sorted(surface_reads) == [
+            ("FMAX", (0,), (613,)),
+            ("MONTHLY_LAI", (2, 0, 0), (1, N_PFTS, 613)),
+            ("PCT_CLAY", (0, 0), (SOIL_LAYERS, 613)),
+            ("PCT_PFT", (0, 0), (N_PFTS, 613)),
+        ]
+
     def test_provenance_sidecar(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs)
         res = run_case(cfg, str(tmp_path / "p"))
         text = open(os.path.join(res.out_dir, "mini.provenance.txt")).read()
         assert "seed = 7" in text and "config_hash" in text
+
+
+def record_surface_reads(monkeypatch) -> list:
+    """(variable, start, count) of every slab read from a surface file."""
+    reads = []
+    read_slab = cdf.CdfFile.read_slab
+
+    def recording(self, name, start, count):
+        if self.model.gattrs.get("title") == "kiloland surface properties":
+            reads.append((name, tuple(start), tuple(count)))
+        return read_slab(self, name, start, count)
+
+    monkeypatch.setattr(cdf.CdfFile, "read_slab", recording)
+    return reads
 
 
 class TestReplication:
@@ -404,6 +441,25 @@ class TestRestart:
         other = replace(cfg, seed=99)
         with pytest.raises(ValueError, match="different parameter set"):
             resume_case(other, str(tmp_path / "r"), extra_days=1)
+
+    def test_resume_reads_no_surface_data(self, mini_inputs, tmp_path, monkeypatch):
+        cfg = make_case_config(mini_inputs, n_days=2)
+        run_case(cfg, str(tmp_path / "r"))
+        surface_reads = record_surface_reads(monkeypatch)
+        resume_case(cfg, str(tmp_path / "r"), extra_days=1)
+        assert surface_reads == []
+
+    def test_resume_checks_surface_cells(self, mini_inputs, tmp_path):
+        cfg = make_case_config(mini_inputs, n_days=2)
+        run_case(cfg, str(tmp_path / "r"))
+        ds = read_surface(cfg.surface)
+        small = SurfaceDataset(
+            {k: v[..., :600] for k, v in ds.values.items()}, ds.methods, 600, ds.subgrid
+        )
+        path = str(tmp_path / "small_surface.nc")
+        write_surface(small, path)
+        with pytest.raises(ValueError, match="surface covers 600 cells.*domain mismatch"):
+            resume_case(replace(cfg, surface=path), str(tmp_path / "r"), extra_days=1)
 
     def test_resume_without_pointer(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs)

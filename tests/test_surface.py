@@ -231,6 +231,39 @@ class TestBuildSurface:
         ds.validate()
         assert ds.methods["MONTHLY_LAI"] == "bilinear"
 
+    @pytest.mark.parametrize("bilinear", [(), ("FMAX", "SYNTH_01")])
+    def test_nearest_indices_computed_once(self, aksp_mini, monkeypatch, bilinear):
+        import kiloland.surface as surface
+
+        src = coarse_for(aksp_mini, n_extra=2)
+        methods = dict(all_nearest(src), **{name: "bilinear" for name in bilinear})
+        calls = []
+        real = surface.nearest_indices
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(surface, "nearest_indices", counting)
+        ds = build_surface(aksp_mini, src, methods)
+        assert len(calls) == 1
+        # Each variable through its own interpolation call, as builds did
+        # before the indices were shared, then the same clamps.
+        lat, lon = compact(aksp_mini.yc, aksp_mini), compact(aksp_mini.xc, aksp_mini)
+        want = {}
+        for name, method in methods.items():
+            one = CoarseGrid(src.lat, src.lon, {name: src.values[name]})
+            interp = interp_nearest if method == "nearest" else interp_bilinear
+            want[name] = interp(one, lat, lon)[name]
+        for name in ("PCT_CLAY", "PCT_PFT"):
+            want[name] = np.clip(want[name], 0.0, 100.0)
+        want["FMAX"] = np.clip(want["FMAX"], 0.0, 1.0)
+        want["MONTHLY_LAI"] = np.maximum(want["MONTHLY_LAI"], 0.0)
+        want["PCT_PFT"] = want["PCT_PFT"] * (100.0 / want["PCT_PFT"].sum(axis=0))
+        assert set(ds.values) == set(want)
+        for name, v in want.items():
+            assert np.array_equal(ds.values[name], v), name
+
     def test_nearest_piecewise_constant(self, aksp_mini):
         src = coarse_for(aksp_mini)
         ds = build_surface(aksp_mini, src, all_nearest(src))
