@@ -336,8 +336,14 @@ def gen_forcing_files(seed: int, d: DomainSpec, months: list, out_dir) -> list:
 class ForcingStream:
     """Reader over consecutive monthly files serving interpolated fields.
 
-    Immutable after open; several streams over the same files are safe.
-    Linear-mode variables interpolate between bracketing records and hold
+    The record values are immutable after open, and several streams over
+    the same files are safe. Each stream also keeps a bracket cache: per
+    variable, the float64 widening `a` of the record at or before the last
+    requested time and, once a time inside that record's bin needs it, the
+    difference `b - a` to the next record. An entry is reused while the
+    record index stays the same, so hourly steps widen each record once.
+    Cached arrays are read-only, and `fields_at` returns `a` itself where
+    no interpolation is needed. Linear-mode variables interpolate between bracketing records and hold
     the final record of the data over its trailing interval; nearest-mode
     variables take the record whose left-closed 3-hour bin contains t.
 
@@ -359,6 +365,7 @@ class ForcingStream:
         self.values = values
         self.n_cols = next(iter(values.values())).shape[1]
         self.window = None if window is None else (float(window[0]), float(window[1]))
+        self._brackets = {}  # name -> [j, a, b - a or None]
 
     @classmethod
     def open(cls, paths: list, columns=None, window=None) -> "ForcingStream":
@@ -402,8 +409,9 @@ class ForcingStream:
             return self.window
         return float(self.time[0]), float(self.time[-1] + STEP_HOURS)
 
-    def fields_at(self, t_hours: float) -> dict:
-        """Per-variable float64 fields at simulation time t (hours)."""
+    def fields_at(self, t_hours: float, names=None) -> dict:
+        """Per-variable float64 fields at simulation time t (hours), for the
+        variables in `names` (all of VARIABLES when None)."""
         lo, hi = self.coverage
         closed = self.window is not None
         if not (lo <= t_hours <= hi if closed else lo <= t_hours < hi):
@@ -415,16 +423,30 @@ class ForcingStream:
         # A window always holds the partner of its last bracketing record,
         # so j is the final stored record only at the end of the data.
         exact = self.time[j] == t_hours or j == self.time.size - 1
-        for name, spec in VARIABLES.items():
-            rows = self.values[name]
-            if spec.interp_mode == NEAREST or exact:
-                out[name] = rows[j].astype(np.float64)
+        for name in VARIABLES if names is None else names:
+            if VARIABLES[name].interp_mode == NEAREST or exact:
+                out[name] = self._bracket(name, j, False)[0]
             else:
                 w = (t_hours - self.time[j]) / (self.time[j + 1] - self.time[j])
-                a = rows[j].astype(np.float64)
-                b = rows[j + 1].astype(np.float64)
-                out[name] = a + (b - a) * w
+                a, diff = self._bracket(name, j, True)
+                out[name] = a + diff * w
         return out
+
+    def _bracket(self, name: str, j: int, with_diff: bool) -> list:
+        """[a, b - a] of `name` at record j from the cache. b - a is filled
+        in by the first request with `with_diff`; until then it is None."""
+        entry = self._brackets.get(name)
+        if entry is None or entry[0] != j:
+            a = _frozen(self.values[name][j].astype(np.float64))
+            entry = self._brackets[name] = [j, a, None]
+        if with_diff and entry[2] is None:
+            entry[2] = _frozen(self.values[name][j + 1].astype(np.float64) - entry[1])
+        return entry[1:]
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _record_range(time_axis: np.ndarray, window) -> tuple:

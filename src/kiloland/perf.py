@@ -15,7 +15,7 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -382,7 +382,7 @@ def run_scaling_suite(
     rows = {"ATM": [], "CPL": [], "LND": []}
     reference = None
     for w in worker_counts:
-        run_cfg = simulation.replace_workers(cfg, w)
+        run_cfg = replace(cfg, lnd_workers=w)
         if mode == "weak":
             run_cfg = simulation.replicate_case(run_cfg, w, out_dir)
         best = None

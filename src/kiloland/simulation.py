@@ -39,6 +39,7 @@ from .perf import TimerTree
 
 __all__ = [
     "CaseConfig",
+    "FORCING_INPUTS",
     "HIST_VARS",
     "RunResult",
     "STATE_VARS",
@@ -47,7 +48,6 @@ __all__ = [
     "init_state",
     "leaf_fixed_point",
     "replicate_case",
-    "replace_workers",
     "resume_case",
     "run_case",
     "run_constant_forcing",
@@ -79,6 +79,11 @@ class ToyParams:
         for name, v in self.__dict__.items():
             if not v > 0:
                 raise ValueError(f"ToyParams.{name} must be positive")
+
+
+# The forcing variables `step_cells` reads; the others reach only the
+# coupler restart.
+FORCING_INPUTS = ("TBOT", "PRECT", "FSDS")
 
 
 def step_cells(state: dict, forcing: dict, p: ToyParams, dt: float):
@@ -269,10 +274,6 @@ class CaseConfig:
             fh.write("\n".join(lines) + "\n")
 
 
-def replace_workers(cfg: CaseConfig, n_workers: int) -> CaseConfig:
-    return replace(cfg, lnd_workers=n_workers)
-
-
 def replicate_case(cfg: CaseConfig, k: int, out_dir: str) -> CaseConfig:
     """Write a k-fold replicated domain next to the outputs and point a
     derived config at it; forcing and surface stay on the base files."""
@@ -305,14 +306,16 @@ class _WorkerTask:
 
 
 def _couple(fields: dict) -> dict:
-    """Coupler delivery: unit conversion for the land component.
+    """Coupler delivery: unit conversion for the land component, made on
+    the dict `fields_at` returns, which is fresh on every call. The arrays
+    in it may be the stream's read-only cache, so PRECT is replaced, never
+    divided in place.
 
     Precipitation records are mm per 3-hour bin; the land model consumes a
     rate in mm/h.
     """
-    out = dict(fields)
-    out["PRECT"] = fields["PRECT"] / 3.0
-    return out
+    fields["PRECT"] = fields["PRECT"] / 3.0
+    return fields
 
 
 def _run_worker_segment(task: _WorkerTask):
@@ -326,8 +329,10 @@ def _run_worker_segment(task: _WorkerTask):
     bundle = None
     for step in range(task.step_lo, task.step_hi):
         t = step * task.dt_hours
+        # Only the segment's last step feeds the coupler restart (cpl.r).
+        names = None if step == task.step_hi - 1 else FORCING_INPUTS
         with timers.region("atm"):
-            fields = stream.fields_at(t)
+            fields = stream.fields_at(t, names)
         with timers.region("cpl"):
             bundle = _couple(fields)
         with timers.region("lnd"):

@@ -383,6 +383,55 @@ def _window_times(start, end, records):
     return np.unique(ts[(ts >= start) & (ts <= end)])
 
 
+@st.composite
+def _call_sequences(draw):
+    """(t, names) calls: forward and backward hours, repeats, record steps
+    and jumps, each with all variables (None) or a random subset."""
+    t = draw(_hours)
+    calls = []
+    for _ in range(draw(st.integers(1, 24))):
+        move = draw(st.sampled_from(["same", "next", "back", "record", "jump"]))
+        if move == "next":
+            t = min(t + 1.0, _DATA_END - 0.25)
+        elif move == "back":
+            t = max(t - 1.0, 0.0)
+        elif move == "record":
+            t = min((t // STEP_HOURS + 1) * STEP_HOURS, _DATA_END - STEP_HOURS)
+        elif move == "jump":
+            t = draw(_hours)
+        names = draw(
+            st.none() | st.lists(st.sampled_from(list(VARIABLES)), min_size=1, unique=True)
+        )
+        calls.append((t, names))
+    return calls
+
+
+class TestBracketCache:
+    @settings(max_examples=60, deadline=None)
+    @given(calls=_call_sequences(), windowed=st.booleans())
+    def test_cached_fields_match_fresh_stream(self, two_months, calls, windowed):
+        paths, full = two_months
+        times = [t for t, _ in calls]
+        if windowed:
+            # The window's edges are the first and last times asked for.
+            s = ForcingStream.open(paths, window=(min(times), max(times)))
+        else:
+            s = ForcingStream(full.time, full.values)
+        for t, names in calls:
+            got = s.fields_at(t, names)
+            want = ForcingStream(full.time, full.values).fields_at(t)
+            assert list(got) == list(VARIABLES if names is None else names)
+            j = int(np.searchsorted(s.time, t, side="right")) - 1
+            exact = s.time[j] == t or j == s.time.size - 1
+            for name, arr in got.items():
+                assert arr.tobytes() == want[name].tobytes(), (name, t)
+                if VARIABLES[name].interp_mode == "nearest" or exact:
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = np.nan
+                else:
+                    arr[:] = np.nan  # a fresh result, not the cache
+
+
 class TestWindow:
     @settings(max_examples=40, deadline=None)
     @given(a=_hours, b=_hours, subset=st.booleans())

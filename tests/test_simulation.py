@@ -11,6 +11,7 @@ from kiloland import cdf
 from kiloland.compare import check_replication, files_bit_identical
 from kiloland.simulation import (
     CaseConfig,
+    FORCING_INPUTS,
     HIST_VARS,
     STATE_VARS,
     ToyParams,
@@ -171,6 +172,26 @@ class TestStepCell:
                 assert float(diag[j, i]) == want_d[k]
 
 
+    def test_kernel_reads_exactly_forcing_inputs(self):
+        class Recording(dict):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.read = set()
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+        f = Recording({k: np.array([v]) for k, v in forcing(FSDS=200.0).items()})
+        s0 = {k: np.array([v]) for k, v in state().items()}
+        step_cells(s0, f, P, 1.0)
+        assert f.read == set(FORCING_INPUTS)
+
+
 class TestCaseConfig:
     def test_file_round_trip(self, tmp_path):
         cfg = CaseConfig(name="abc", n_days=3, lnd_workers=4, partition_scheme="block")
@@ -328,6 +349,47 @@ class TestRunCase:
         for (start, end), n_records in opened:
             segment_hours = end - start + cfg.dt_hours
             assert n_records <= math.ceil(segment_hours / 3) + 1
+
+    def test_loop_interpolates_only_kernel_inputs(self, mini_inputs, tmp_path, monkeypatch):
+        from kiloland import simulation
+        from kiloland.forcing import ForcingStream, VARIABLES
+
+        requests = []  # (t, names, keys of the returned fields)
+        fields_at = ForcingStream.fields_at
+
+        def recording(self, t, names=None):
+            out = fields_at(self, t, names)
+            requests.append((t, names, tuple(out)))
+            return out
+
+        segments = []  # (step_hi, bundle)
+        run_segment = simulation._run_worker_segment
+
+        def segment(task):
+            result = run_segment(task)
+            segments.append((task.step_hi, result[4]))
+            return result
+
+        monkeypatch.setattr(ForcingStream, "fields_at", recording)
+        monkeypatch.setattr(simulation, "_run_worker_segment", segment)
+        cfg = make_case_config(mini_inputs, history_interval="daily", n_days=3)
+        run_case(cfg, str(tmp_path / "loop"))
+        monkeypatch.undo()
+
+        assert [hi for hi, _ in segments] == [24, 48, 72]
+        assert [t for t, _, _ in requests] == [float(step) for step in range(72)]
+        last = {hi - 1 for hi, _ in segments}
+        for step, (_, names, keys) in enumerate(requests):
+            if step in last:
+                assert names is None and keys == tuple(VARIABLES), step
+            else:
+                assert names == FORCING_INPUTS and keys == FORCING_INPUTS, step
+        full = ForcingStream.open(simulation._forcing_paths(cfg.forcing_dir))
+        for hi, bundle in segments:
+            want = simulation._couple(full.fields_at((hi - 1) * float(cfg.dt_hours)))
+            assert list(bundle) == list(want)
+            for name in VARIABLES:
+                assert bundle[name].tobytes() == want[name].tobytes(), (hi, name)
 
     def test_setup_reads_only_what_init_state_uses(self, mini_inputs, tmp_path, monkeypatch):
         surface_reads = record_surface_reads(monkeypatch)
