@@ -336,14 +336,15 @@ def gen_forcing_files(seed: int, d: DomainSpec, months: list, out_dir) -> list:
 class ForcingStream:
     """Reader over consecutive monthly files serving interpolated fields.
 
-    The record values are immutable after open, and several streams over
-    the same files are safe. Each stream also keeps a bracket cache: per
-    variable, the float64 widening `a` of the record at or before the last
-    requested time and, once a time inside that record's bin needs it, the
-    difference `b - a` to the next record. An entry is reused while the
+    The record values are immutable after open; several streams over the
+    same files are safe. Each stream caches, per variable, the float64
+    bracket of the record it last served: `a`, and `b - a` to the next
+    record once an interpolation needs it. The entry is reused while the
     record index stays the same, so hourly steps widen each record once.
     Cached arrays are read-only, and `fields_at` returns `a` itself where
-    no interpolation is needed. Linear-mode variables interpolate between bracketing records and hold
+    it does not interpolate.
+
+    Linear-mode variables interpolate between bracketing records and hold
     the final record of the data over its trailing interval; nearest-mode
     variables take the record whose left-closed 3-hour bin contains t.
 

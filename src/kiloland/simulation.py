@@ -307,9 +307,8 @@ class _WorkerTask:
 
 def _couple(fields: dict) -> dict:
     """Coupler delivery: unit conversion for the land component, made on
-    the dict `fields_at` returns, which is fresh on every call. The arrays
-    in it may be the stream's read-only cache, so PRECT is replaced, never
-    divided in place.
+    the fresh dict `fields_at` returns. Its arrays may be the stream's
+    read-only cache, so PRECT is replaced, never divided in place.
 
     Precipitation records are mm per 3-hour bin; the land model consumes a
     rate in mm/h.
