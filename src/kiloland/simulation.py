@@ -35,7 +35,7 @@ from . import cdf
 from .decomp import build_iodecomp, make_plan, partition, rearrange_write, DEFAULT_BUFFER_LIMIT
 from .domain import read_domain, replicate, write_domain
 from .forcing import ForcingStream, VARIABLES
-from .perf import TimerTree
+from .perf import TimerTree, merge_timers
 
 __all__ = [
     "CaseConfig",
@@ -52,7 +52,6 @@ __all__ = [
     "run_case",
     "run_constant_forcing",
     "spinup_check",
-    "step_cell",
     "step_cells",
 ]
 
@@ -132,16 +131,6 @@ def step_cells(state: dict, forcing: dict, p: ToyParams, dt: float):
     return new, diag
 
 
-def step_cell(state: dict, forcing: dict, p: ToyParams, dt: float):
-    """Single-cell convenience wrapper around step_cells."""
-    s = {k: np.asarray(v, dtype=np.float64) for k, v in state.items()}
-    f = {k: np.asarray(v, dtype=np.float64) for k, v in forcing.items()}
-    new, diag = step_cells(s, f, p, dt)
-    return {k: float(v) for k, v in new.items()}, {
-        name: float(diag[i]) for i, name in enumerate(HIST_VARS)
-    }
-
-
 def init_state(surface_cols: dict, p: ToyParams, month_lai: np.ndarray) -> dict:
     """Initial per-cell state from surface properties.
 
@@ -184,8 +173,6 @@ class CaseConfig:
     lnd_workers: int = 1
     partition_scheme: str = "round_robin"
     block_size: int = 64
-    atm_workers: int = 1
-    cpl_workers: int = 1
     n_aggregators: int = 1
     buffer_limit: int = DEFAULT_BUFFER_LIMIT
     params: ToyParams = field(default_factory=ToyParams)
@@ -235,14 +222,12 @@ class CaseConfig:
         "lnd.n_workers": "lnd_workers",
         "lnd.partition": "partition_scheme",
         "lnd.block_size": "block_size",
-        "atm.n_workers": "atm_workers",
-        "cpl.n_workers": "cpl_workers",
         "io.n_aggregators": "n_aggregators",
         "io.buffer_limit": "buffer_limit",
     }
     _INT_FIELDS = {
         "n_days", "dt_hours", "seed", "lnd_workers", "block_size",
-        "atm_workers", "cpl_workers", "n_aggregators", "buffer_limit",
+        "n_aggregators", "buffer_limit",
     }
 
     @classmethod
@@ -292,17 +277,37 @@ def replicate_case(cfg: CaseConfig, k: int, out_dir: str) -> CaseConfig:
 
 
 @dataclass
+class _RunState:
+    """Where a run starts: a fresh set-up or a restart bundle."""
+
+    start_step: int
+    count: int  # steps in the history accumulators
+    window_start_hours: float
+    total_days: int
+    state: dict  # global STATE_VARS arrays
+    sums: np.ndarray  # (len(HIST_VARS), n_land) history accumulators
+    bundle: dict | None  # last coupler fields; None on a fresh run
+
+
+@dataclass
+class _Rank:
+    """One land rank's share of the run."""
+
+    columns: np.ndarray | None  # forcing file columns; None reads them as stored
+    state: dict
+    sums: np.ndarray
+    bundle: dict | None
+    timers: TimerTree
+
+
+@dataclass
 class _WorkerTask:
-    worker_id: int
     step_lo: int
     step_hi: int
     dt_hours: float
     params: ToyParams
     forcing_paths: list
-    columns: np.ndarray
-    state: dict
-    sums: np.ndarray
-    count: int
+    rank: _Rank
 
 
 def _couple(fields: dict) -> dict:
@@ -317,15 +322,14 @@ def _couple(fields: dict) -> dict:
     return fields
 
 
-def _run_worker_segment(task: _WorkerTask):
-    timers = TimerTree(f"worker{task.worker_id}")
+def _run_worker_segment(task: _WorkerTask) -> _Rank:
+    """Step one rank through [step_lo, step_hi); returns the updated rank."""
+    rank = task.rank
+    timers = rank.timers
     window = (task.step_lo * task.dt_hours, (task.step_hi - 1) * task.dt_hours)
     with timers.region("atm"):
-        stream = ForcingStream.open(task.forcing_paths, columns=task.columns, window=window)
-    state = task.state
-    sums = task.sums
-    count = task.count
-    bundle = None
+        stream = ForcingStream.open(task.forcing_paths, columns=rank.columns, window=window)
+    state = rank.state
     for step in range(task.step_lo, task.step_hi):
         t = step * task.dt_hours
         # Only the segment's last step feeds the coupler restart (cpl.r).
@@ -336,10 +340,9 @@ def _run_worker_segment(task: _WorkerTask):
             bundle = _couple(fields)
         with timers.region("lnd"):
             state, diag = step_cells(state, bundle, task.params, task.dt_hours)
-            sums += diag
-            count += 1
-    timer_totals = {name: (n.seconds, n.count) for name, n in timers.children.items()}
-    return task.worker_id, state, sums, count, bundle, timer_totals
+            rank.sums += diag
+    rank.state, rank.bundle = state, bundle
+    return rank
 
 
 @dataclass
@@ -437,7 +440,6 @@ class _Run:
         self.write_stats = []
         self.history_paths = []
         self.restart_dates = []
-        self.worker_seconds = {}
 
     # -- initialization ------------------------------------------------------
 
@@ -450,9 +452,7 @@ class _Run:
             self.forcing_paths = _forcing_paths(cfg.forcing_dir)
             with cdf.read_file(self.forcing_paths[0]) as f:
                 file_n = f.model.dim("gridcell").length
-            self.columns = _source_columns(
-                self.n_land, self.domain.n_copies, file_n, "forcing"
-            )
+            columns = _source_columns(self.n_land, self.domain.n_copies, file_n, "forcing")
             self.part = partition(
                 self.n_land, cfg.lnd_workers, cfg.partition_scheme, cfg.block_size
             )
@@ -463,37 +463,26 @@ class _Run:
                     "surface",
                 )
                 if resume_entries is None:
-                    month = datetime.date.fromisoformat(cfg.start).month
-                    surf_cols, month_lai = _read_init_surface(f, month, scols)
-                    state = init_state(surf_cols, cfg.params, month_lai)
-            if resume_entries is None:
-                self.start_step = 0
-                total_days = cfg.n_days
-                self.sums = None
-                self.count = 0
-                self.window_start_hours = 0.0
-            else:
-                state, total_days = self._load_restart(resume_entries, extra_days)
-            self.total_steps = total_days * cfg.steps_per_day
-            self.n_days_total = total_days
-            # Per-rank slices of the global state/accumulators.
-            self.rank_state = [
-                {k: state[k][cells].copy() for k in STATE_VARS}
-                for cells in self.part.local_lists
-            ]
-            if self.sums is None:
-                self.rank_sums = [
-                    np.zeros((len(HIST_VARS), len(cells)))
-                    for cells in self.part.local_lists
-                ]
-            else:
-                self.rank_sums = [
-                    self.sums[:, cells].copy() for cells in self.part.local_lists
-                ]
-            resumed = getattr(self, "_resumed_bundle", None)
-            self.last_bundle = None if resumed is None else [
-                {k: v[cells] for k, v in resumed.items()}
-                for cells in self.part.local_lists
+                    run = self._fresh_state(f, scols)
+                else:
+                    run = self._load_restart(resume_entries, extra_days)
+            self.start_step = run.start_step
+            self.count = run.count
+            self.window_start_hours = run.window_start_hours
+            self.total_steps = run.total_days * cfg.steps_per_day
+            whole = np.arange(file_n)
+            self.ranks = [
+                _Rank(
+                    # A rank that reads every file column in order needs no gather.
+                    columns=None if np.array_equal(columns[cells], whole) else columns[cells],
+                    state={k: run.state[k][cells] for k in STATE_VARS},
+                    # take() keeps each rank's rows C-ordered; [:, cells] would not.
+                    sums=run.sums.take(cells, axis=1),
+                    bundle=None if run.bundle is None
+                    else {k: v[cells] for k, v in run.bundle.items()},
+                    timers=TimerTree(f"rank{r}"),
+                )
+                for r, cells in enumerate(self.part.local_lists)
             ]
             # Forcing must cover the whole run.
             with cdf.read_file(self.forcing_paths[-1]) as f:
@@ -505,7 +494,21 @@ class _Run:
                     f"{t_last + 3.0}h"
                 )
 
-    def _load_restart(self, entries, extra_days):
+    def _fresh_state(self, surface: cdf.CdfFile, scols: np.ndarray) -> _RunState:
+        cfg = self.cfg
+        month = datetime.date.fromisoformat(cfg.start).month
+        surf_cols, month_lai = _read_init_surface(surface, month, scols)
+        return _RunState(
+            start_step=0,
+            count=0,
+            window_start_hours=0.0,
+            total_days=cfg.n_days,
+            state=init_state(surf_cols, cfg.params, month_lai),
+            sums=np.zeros((len(HIST_VARS), self.n_land)),
+            bundle=None,
+        )
+
+    def _load_restart(self, entries, extra_days) -> _RunState:
         cfg = self.cfg
         rdir = entries["dir"]
         with cdf.read_file(os.path.join(rdir, entries["elm_r"])) as f:
@@ -523,18 +526,23 @@ class _Run:
 
             state = {name: verified(name) for name in STATE_VARS}
             sums = np.stack([verified(f"hsum_{v}") for v in HIST_VARS])
-            self.count = int(a["hist_count"])
+            count = int(a["hist_count"])
         with cdf.read_file(os.path.join(rdir, entries["datm_r"])) as f:
-            self.start_step = int(f.read("next_step"))
+            start_step = int(f.read("next_step"))
         with cdf.read_file(os.path.join(rdir, entries["rh0"])) as f:
-            self.window_start_hours = float(f.read("window_start_hours"))
+            window_start_hours = float(f.read("window_start_hours"))
         with cdf.read_file(os.path.join(rdir, entries["cpl_r"])) as f:
-            self._resumed_bundle = {
-                name: f.read(f"x2l_{name}") for name in VARIABLES
-            }
-        self.sums = sums
-        done_days = self.start_step // cfg.steps_per_day
-        return state, done_days + (extra_days if extra_days is not None else cfg.n_days)
+            bundle = {name: f.read(f"x2l_{name}") for name in VARIABLES}
+        done_days = start_step // cfg.steps_per_day
+        return _RunState(
+            start_step=start_step,
+            count=count,
+            window_start_hours=window_start_hours,
+            total_days=done_days + (extra_days if extra_days is not None else cfg.n_days),
+            state=state,
+            sums=sums,
+            bundle=bundle,
+        )
 
     # -- main loop -----------------------------------------------------------
 
@@ -576,11 +584,12 @@ class _Run:
         finally:
             if pool is not None:
                 pool.shutdown()
-        merged = {}
+        merged = merge_timers([r.timers for r in self.ranks]).children
+        component_seconds = {}
         for region in ("atm", "cpl", "lnd"):
-            per_worker = [t.get(region, (0.0, 0))[0] for t in self.worker_seconds.values()]
-            merged[region] = max(per_worker) if per_worker else 0.0
-            self.timers.add(region, merged[region])
+            node = merged.get(region)
+            component_seconds[region] = node.max_seconds if node else 0.0
+            self.timers.add(region, component_seconds[region])
         self._write_iostats()
         self._write_provenance()
         return RunResult(
@@ -590,7 +599,7 @@ class _Run:
             restart_dates=self.restart_dates,
             rpointer_path=os.path.join(self.out_dir, f"rpointer.{cfg.name}"),
             timers=self.timers,
-            component_seconds=merged,
+            component_seconds=component_seconds,
             init_seconds=self.timers.total("init"),
             write_stats=self.write_stats,
         )
@@ -598,34 +607,12 @@ class _Run:
     def _run_segment(self, lo, hi, pool):
         cfg = self.cfg
         tasks = [
-            _WorkerTask(
-                worker_id=r,
-                step_lo=lo,
-                step_hi=hi,
-                dt_hours=cfg.dt_hours,
-                params=cfg.params,
-                forcing_paths=self.forcing_paths,
-                columns=self.columns[cells],
-                state=self.rank_state[r],
-                sums=self.rank_sums[r],
-                count=self.count,
-            )
-            for r, cells in enumerate(self.part.local_lists)
+            _WorkerTask(lo, hi, cfg.dt_hours, cfg.params, self.forcing_paths, rank)
+            for rank in self.ranks
         ]
-        if pool is None:
-            results = [_run_worker_segment(t) for t in tasks]
-        else:
-            results = list(pool.map(_run_worker_segment, tasks))
-        self.last_bundle = [None] * cfg.lnd_workers
-        for worker_id, state, sums, count, bundle, timer_totals in results:
-            self.rank_state[worker_id] = state
-            self.rank_sums[worker_id] = sums
-            self.count = count
-            self.last_bundle[worker_id] = bundle
-            acc = self.worker_seconds.setdefault(worker_id, {})
-            for region, (secs, n) in timer_totals.items():
-                old = acc.get(region, (0.0, 0))
-                acc[region] = (old[0] + secs, old[1] + n)
+        dispatch = map if pool is None else pool.map
+        self.ranks = list(dispatch(_run_worker_segment, tasks))
+        self.count += hi - lo
 
     # -- output --------------------------------------------------------------
 
@@ -678,15 +665,14 @@ class _Run:
                 w.write_full("time", np.array([step * float(cfg.dt_hours)]))
                 for i, name in enumerate(HIST_VARS):
                     means = [
-                        (sums[i] / self.count).astype(np.float32)
-                        for sums in self.rank_sums
+                        (r.sums[i] / self.count).astype(np.float32) for r in self.ranks
                     ]
                     self._aggregate_write(w, name, means, record=0)
                 w.close()
         self.history_paths.append(path)
         if reset:
-            for sums in self.rank_sums:
-                sums[:] = 0.0
+            for r in self.ranks:
+                r.sums[:] = 0.0
             self.count = 0
             self.window_start_hours = step * float(cfg.dt_hours)
 
@@ -703,8 +689,8 @@ class _Run:
         model.dims = [cdf.Dim("gridcell", self.n_land)]
         model.gattrs = self._file_gattrs(step)
         model.gattrs["hist_count"] = self.count
-        state_rank = {k: [s[k] for s in self.rank_state] for k in STATE_VARS}
-        sums_rank = {v: [s[i] for s in self.rank_sums] for i, v in enumerate(HIST_VARS)}
+        state_rank = {k: [r.state[k] for r in self.ranks] for k in STATE_VARS}
+        sums_rank = {v: [r.sums[i] for r in self.ranks] for i, v in enumerate(HIST_VARS)}
         for name in STATE_VARS:
             checksum = _crc(iod.gather(state_rank[name]), ">f8")
             model.vars.append(
@@ -730,7 +716,6 @@ class _Run:
         model = cdf.CdfModel(variant=cdf.CDF5)
         model.dims = [cdf.Dim("gridcell", self.n_land)]
         model.gattrs = self._file_gattrs(step)
-        bundles = self.last_bundle or [None] * cfg.lnd_workers
         for fname in VARIABLES:
             units = "mm/h" if fname == "PRECT" else VARIABLES[fname].units
             model.vars.append(
@@ -740,7 +725,7 @@ class _Run:
             with open(path, "wb") as fh:
                 w = cdf.CdfWriter(fh, model, numrecs=0)
                 for fname in VARIABLES:
-                    ranks = [b[fname] for b in bundles]
+                    ranks = [r.bundle[fname] for r in self.ranks]
                     self._aggregate_write(w, f"x2l_{fname}", ranks)
                 w.close()
 

@@ -1,5 +1,7 @@
 import math
 import os
+import pickle
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +23,6 @@ from kiloland.simulation import (
     run_case,
     run_constant_forcing,
     spinup_check,
-    step_cell,
     step_cells,
 )
 from kiloland.surface import N_PFTS, SOIL_LAYERS, SurfaceDataset, read_surface, write_surface
@@ -76,31 +77,36 @@ def forcing(TBOT=275.0, PRECT=0.0, FSDS=0.0, **extra):
     return f
 
 
+def one_cell(values: dict) -> dict:
+    """A dict of scalars as one-cell float64 arrays."""
+    return {k: np.array([v], dtype=np.float64) for k, v in values.items()}
+
+
 class TestStepCell:
     def test_zero_forcing_decay_only(self):
         s0 = state(soil_temp=270.0)
-        s1, _ = step_cell(s0, forcing(TBOT=270.0), P, 1.0)
-        assert s1["swe"] == s0["swe"]
-        assert s1["soil_water"] == s0["soil_water"]
-        assert s1["c_leaf"] == pytest.approx(s0["c_leaf"] * (1 - P.k_leaf * 1.0), rel=1e-15)
+        s1, _ = step_cells(one_cell(s0), one_cell(forcing(TBOT=270.0)), P, 1.0)
+        assert s1["swe"][0] == s0["swe"]
+        assert s1["soil_water"][0] == s0["soil_water"]
+        assert s1["c_leaf"][0] == pytest.approx(s0["c_leaf"] * (1 - P.k_leaf * 1.0), rel=1e-15)
 
     def test_subfreezing_accumulation(self):
-        s1, _ = step_cell(state(), forcing(TBOT=263.15, PRECT=1.0), P, 1.0)
-        assert s1["swe"] == 1.0
+        s1, _ = step_cells(one_cell(state()), one_cell(forcing(TBOT=263.15, PRECT=1.0)), P, 1.0)
+        assert s1["swe"][0] == 1.0
 
     def test_against_independent_oracle(self):
         s0 = state(swe=5.0, soil_water=100.0, soil_temp=270.0, c_leaf=10.0, c_soil=50.0)
         f = forcing(TBOT=275.0, PRECT=0.0, FSDS=200.0)
-        got_s, got_d = step_cell(s0, f, P, 1.0)
+        got_s, got_d = step_cells(one_cell(s0), one_cell(f), P, 1.0)
         want_s, want_d = oracle_step(s0, f, P, 1.0)
         for k in STATE_VARS:
-            assert got_s[k] == pytest.approx(want_s[k], rel=1e-15), k
-        for k in HIST_VARS:
-            assert got_d[k] == pytest.approx(want_d[k], rel=1e-15), k
+            assert got_s[k][0] == pytest.approx(want_s[k], rel=1e-15), k
+        for j, k in enumerate(HIST_VARS):
+            assert got_d[j, 0] == pytest.approx(want_d[k], rel=1e-15), k
 
     def test_nan_forcing_rejected(self):
         with pytest.raises(ValueError, match="NaN forcing"):
-            step_cell(state(), forcing(TBOT=np.nan), P, 1.0)
+            step_cells(one_cell(state()), one_cell(forcing(TBOT=np.nan)), P, 1.0)
 
     @given(
         swe=st.floats(0, 500),
@@ -113,12 +119,12 @@ class TestStepCell:
     def test_water_balance_property(self, swe, w, tbot, prect, fsds):
         s0 = state(swe=swe, soil_water=w)
         f = forcing(TBOT=tbot, PRECT=prect, FSDS=fsds)
-        s1, d = step_cell(s0, f, P, 1.0)
+        s1, d = step_cells(one_cell(s0), one_cell(f), P, 1.0)
         et_implied = (
             prect * 1.0
-            - (s1["swe"] - s0["swe"])
-            - (s1["soil_water"] - s0["soil_water"])
-            - d["QRUNOFF"] * 1.0
+            - (s1["swe"][0] - s0["swe"])
+            - (s1["soil_water"][0] - s0["soil_water"])
+            - d[HIST_VARS.index("QRUNOFF"), 0] * 1.0
         )
         assert et_implied >= -1e-9
         # recompute et independently to close the budget
@@ -135,13 +141,13 @@ class TestStepCell:
     @settings(max_examples=200, deadline=None)
     def test_invariants_preserved(self, swe, w, tbot, prect, fsds):
         s0 = state(swe=swe, soil_water=w)
-        s1, d = step_cell(s0, forcing(tbot, prect, fsds), P, 1.0)
-        assert s1["swe"] >= 0
-        assert 0 <= s1["soil_water"] <= P.w_cap
-        assert d["QRUNOFF"] >= 0
-        assert 0 <= d["FSNO"] < 1
+        s1, d = step_cells(one_cell(s0), one_cell(forcing(tbot, prect, fsds)), P, 1.0)
+        assert s1["swe"][0] >= 0
+        assert 0 <= s1["soil_water"][0] <= P.w_cap
+        assert d[HIST_VARS.index("QRUNOFF"), 0] >= 0
+        assert 0 <= d[HIST_VARS.index("FSNO"), 0] < 1
         # Relaxation keeps soil temperature inside the forcing envelope.
-        assert min(s0["soil_temp"], tbot) <= s1["soil_temp"] <= max(s0["soil_temp"], tbot)
+        assert min(s0["soil_temp"], tbot) <= s1["soil_temp"][0] <= max(s0["soil_temp"], tbot)
 
     def test_params_must_be_positive(self):
         with pytest.raises(ValueError, match="w_cap"):
@@ -165,11 +171,11 @@ class TestStepCell:
             si = {k: float(v[i]) for k, v in s.items()}
             fi = forcing(TBOT=float(f["TBOT"][i]), PRECT=float(f["PRECT"][i]),
                          FSDS=float(f["FSDS"][i]))
-            want_s, want_d = step_cell(si, fi, P, 1.0)
+            want_s, want_d = step_cells(one_cell(si), one_cell(fi), P, 1.0)
             for k in STATE_VARS:
-                assert float(new[k][i]) == want_s[k]
-            for j, k in enumerate(HIST_VARS):
-                assert float(diag[j, i]) == want_d[k]
+                assert new[k][i] == want_s[k][0]
+            for j in range(len(HIST_VARS)):
+                assert diag[j, i] == want_d[j, 0]
 
 
     def test_kernel_reads_exactly_forcing_inputs(self):
@@ -224,9 +230,11 @@ class TestCaseConfig:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # The atm and cpl components have no worker settings.
+    @pytest.mark.parametrize("key", ["case.wat", "atm.n_workers", "cpl.n_workers"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
-        path.write_text("case.wat = 1\n")
+        path.write_text(f"{key} = 1\n")
         with pytest.raises(ValueError, match="unknown key"):
             CaseConfig.from_file(str(path))
 
@@ -315,10 +323,12 @@ class TestRunCase:
         with pytest.raises(ValueError, match="coverage gap"):
             run_case(cfg, str(tmp_path / "gap"))
 
-    def test_timing_report_populated(self, mini_inputs, tmp_path):
-        cfg = make_case_config(mini_inputs)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timing_report_populated(self, mini_inputs, tmp_path, workers):
+        cfg = make_case_config(mini_inputs, lnd_workers=workers)
         res = run_case(cfg, str(tmp_path / "t"))
-        assert res.component_seconds["lnd"] > 0
+        for region in ("atm", "cpl", "lnd"):
+            assert res.component_seconds[region] == res.timers.total(region) > 0, region
         assert res.init_seconds > 0
         res.timers.validate()
 
@@ -332,23 +342,43 @@ class TestRunCase:
             res.timers.validate()
 
     def test_segments_read_only_their_window(self, mini_inputs, tmp_path, monkeypatch):
+        from kiloland.decomp import partition
         from kiloland.forcing import ForcingStream
 
-        opened = []
+        # Rank workers may run in forked processes, so each open leaves a file.
+        log = tmp_path / "opened"
+        log.mkdir()
         open_stream = ForcingStream.open
 
         def recording(cls, paths, columns=None, window=None):
             stream = open_stream(paths, columns=columns, window=window)
-            opened.append((window, stream.time.size))
+            fd, _ = tempfile.mkstemp(dir=log)
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump((window, stream.time.size, columns), fh)
             return stream
 
         monkeypatch.setattr(ForcingStream, "open", classmethod(recording))
-        cfg = make_case_config(mini_inputs, history_interval="daily", n_days=3)
-        run_case(cfg, str(tmp_path / "w"))
-        assert [w for w, _ in opened] == [(0.0, 23.0), (24.0, 47.0), (48.0, 71.0)]
-        for (start, end), n_records in opened:
-            segment_hours = end - start + cfg.dt_hours
-            assert n_records <= math.ceil(segment_hours / 3) + 1
+        windows = [(0.0, 23.0), (24.0, 47.0), (48.0, 71.0)]
+        for workers in (1, 2):
+            cfg = make_case_config(
+                mini_inputs, history_interval="daily", n_days=3, lnd_workers=workers
+            )
+            run_case(cfg, str(tmp_path / f"w{workers}"))
+            opened = [pickle.loads(p.read_bytes()) for p in log.iterdir()]
+            for p in log.iterdir():
+                p.unlink()
+            assert sorted(w for w, _, _ in opened) == sorted(windows * workers)
+            for (start, end), n_records, _ in opened:
+                segment_hours = end - start + cfg.dt_hours
+                assert n_records <= math.ceil(segment_hours / 3) + 1
+            # One rank over the unreplicated file reads its columns as stored.
+            cells = partition(613, workers, cfg.partition_scheme, cfg.block_size).local_lists
+            for window in windows:
+                got = [columns for w, _, columns in opened if w == window]
+                if workers == 1:
+                    assert got == [None]
+                else:
+                    assert sorted(c.tolist() for c in got) == sorted(c.tolist() for c in cells)
 
     def test_loop_interpolates_only_kernel_inputs(self, mini_inputs, tmp_path, monkeypatch):
         from kiloland import simulation
@@ -367,7 +397,7 @@ class TestRunCase:
 
         def segment(task):
             result = run_segment(task)
-            segments.append((task.step_hi, result[4]))
+            segments.append((task.step_hi, result.bundle))
             return result
 
         monkeypatch.setattr(ForcingStream, "fields_at", recording)
@@ -462,6 +492,24 @@ class TestRestart:
             assert files_bit_identical(a, b), kind
         assert resumed.restart_dates == [final]
 
+    @pytest.mark.parametrize(
+        "first, then, scheme",
+        [(1, 3, "round_robin"), (2, 1, "block"), (2, 3, "block_round_robin")],
+    )
+    def test_resume_under_another_layout(self, mini_inputs, tmp_path, first, then, scheme):
+        cfg = make_case_config(mini_inputs)
+        whole = run_case(cfg, str(tmp_path / "whole"))
+        split_dir = str(tmp_path / "split")
+        run_case(replace(cfg, n_days=3, lnd_workers=first, partition_scheme=scheme), split_dir)
+        resume_case(
+            replace(cfg, lnd_workers=then, partition_scheme=scheme), split_dir, extra_days=2
+        )
+        final = "2014-01-06-00000"
+        for kind in ("elm.h0", "elm.r", "cpl.r", "datm.r", "elm.rh0"):
+            a = os.path.join(whole.out_dir, f"mini.{kind}.{final}.nc")
+            b = os.path.join(split_dir, f"mini.{kind}.{final}.nc")
+            assert files_bit_identical(a, b), kind
+
     def test_resume_zero_days_rewrites_identical_bundle(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs, n_days=3)
         first = run_case(cfg, str(tmp_path / "r"))
@@ -474,6 +522,18 @@ class TestRestart:
         for kind, p in paths.items():
             assert os.stat(p).st_mtime_ns != stamps[kind], f"{kind} not rewritten"
             assert open(p, "rb").read() == before[kind], f"{kind} changed"
+
+    def test_resume_zero_days_on_two_workers(self, mini_inputs, tmp_path):
+        # The resumed coupler fields are split between the ranks and written
+        # back without a step in between.
+        cfg = make_case_config(mini_inputs, n_days=3)
+        first = run_case(cfg, str(tmp_path / "r"))
+        ptr = first.latest_restart
+        paths = [os.path.join(first.out_dir, ptr[k]) for k in ("elm_r", "cpl_r", "datm_r", "rh0")]
+        before = [open(p, "rb").read() for p in paths]
+        res = resume_case(replace(cfg, lnd_workers=2), str(tmp_path / "r"), extra_days=0)
+        assert res.restart_dates == ["2014-01-04-00000"]
+        assert [open(p, "rb").read() for p in paths] == before
 
     def test_resume_zero_days_with_daily_history(self, mini_inputs, tmp_path):
         # The day-boundary flush already reset the accumulators, so a
