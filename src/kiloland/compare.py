@@ -94,7 +94,7 @@ def _slab_rows(shape, itemsize):
     return max(1, SLAB_BYTES // max(per_row, 1))
 
 
-def _compare_var(fa, fb, name, mode, eps, diff: VarDiff, base_cells=None):
+def _compare_var(fa, fb, name, mode, eps, diff: VarDiff):
     shape_a = fa.shape(name)
     shape_b = fb.shape(name)
     if shape_a != shape_b:
@@ -121,10 +121,7 @@ def _compare_var(fa, fb, name, mode, eps, diff: VarDiff, base_cells=None):
         bit_neq = a.view(bits) != b.view(bits)
         n_bit = int(bit_neq.sum())
         if n_bit and diff.first_diff_index is None:
-            idx = flat_pos + int(np.argmax(bit_neq))
-            diff.first_diff_index = idx
-            if base_cells:
-                diff.first_diff_copy = (idx % shape_a[-1]) // base_cells
+            diff.first_diff_index = flat_pos + int(np.argmax(bit_neq))
         diff.n_bit_differing += n_bit
         if mode == "bit":
             diff.n_differing += n_bit
@@ -151,7 +148,7 @@ def _compare_var(fa, fb, name, mode, eps, diff: VarDiff, base_cells=None):
         flat_pos += a.size
 
 
-def compare_files(a, b, tol="bit_exact", base_cells=None) -> CompareReport:
+def compare_files(a, b, tol="bit_exact") -> CompareReport:
     """Element-wise comparison of two files, variables matched by name.
 
     Verdict: 'identical' (bitwise equal everywhere, same variables),
@@ -170,7 +167,7 @@ def compare_files(a, b, tol="bit_exact", base_cells=None) -> CompareReport:
                 continue
             diff = VarDiff()
             report.per_var[name] = diff
-            _compare_var(fa, fb, name, mode, eps, diff, base_cells=base_cells)
+            _compare_var(fa, fb, name, mode, eps, diff)
     any_beyond = any(d.n_differing or d.shape_mismatch for d in report.per_var.values())
     any_bits = any(d.n_bit_differing for d in report.per_var.values())
     presence = bool(report.vars_only_in_a or report.vars_only_in_b)

@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "AggregatorPlan",
     "DEFAULT_BUFFER_LIMIT",
+    "IOSTATS_HEADER",
     "IoDecomp",
     "Partition",
     "ROUND_ROBIN",
@@ -218,7 +219,7 @@ class WriteStats:
         )
 
 
-CSV_HEADER = "case,variable,bytes,seconds,MiB_per_s,aggregators,buffer_limit"
+IOSTATS_HEADER = "case,variable,bytes,seconds,MiB_per_s,aggregators,buffer_limit"
 
 
 def rearrange_write(

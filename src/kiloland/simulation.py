@@ -32,7 +32,9 @@ import multiprocessing
 import numpy as np
 
 from . import cdf
-from .decomp import build_iodecomp, make_plan, partition, rearrange_write, DEFAULT_BUFFER_LIMIT
+from .decomp import (
+    DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, build_iodecomp, make_plan, partition, rearrange_write,
+)
 from .domain import read_domain, replicate, write_domain
 from .forcing import ForcingStream, VARIABLES
 from .perf import TimerTree, merge_timers
@@ -359,11 +361,13 @@ class RunResult:
 
     @property
     def latest_restart(self) -> dict:
-        with open(self.rpointer_path) as fh:
-            entries = dict(
-                line.strip().split(" = ", 1) for line in fh if " = " in line
-            )
-        return entries
+        return _read_rpointer(self.rpointer_path)
+
+
+def _read_rpointer(path: str) -> dict:
+    """The `key = value` entries of a restart pointer file."""
+    with open(path) as fh:
+        return dict(line.strip().split(" = ", 1) for line in fh if " = " in line)
 
 
 def _event_steps(total_steps, steps_per_day, interval, kind):
@@ -456,6 +460,11 @@ class _Run:
             self.part = partition(
                 self.n_land, cfg.lnd_workers, cfg.partition_scheme, cfg.block_size
             )
+            # Every output variable is one value per gridcell, so one
+            # decomposition and one aggregator plan serve every write.
+            self.iod = build_iodecomp(self.part, (self.n_land,))
+            self.plan = make_plan(self.iod.total_elements, cfg.n_aggregators, cfg.buffer_limit)
+            self.plan.validate(self.iod.total_elements)
             # A resumed run reads no surface data, but still checks its cells.
             with cdf.read_file(cfg.surface) as f:
                 scols = _source_columns(
@@ -564,23 +573,17 @@ class _Run:
                 max_workers=cfg.lnd_workers,
                 mp_context=multiprocessing.get_context("fork"),
             )
+        # A zero-step resume runs one empty segment, which rewrites the
+        # bundle (and any history still accumulating) identically.
+        segments = list(zip(boundaries[:-1], boundaries[1:])) or [(self.total_steps,) * 2]
         try:
-            for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-                self._run_segment(lo, hi, pool)
-                if hi in hist_events:
-                    reset = cfg.history_interval not in ("end_of_run",)
-                    self._flush_history(hi, reset=reset)
+            for lo, hi in segments:
+                if hi > lo:
+                    self._run_segment(lo, hi, pool)
+                if hi in hist_events and self.count > 0:
+                    self._flush_history(hi, reset=cfg.history_interval != "end_of_run")
                 if hi in rest_events:
                     self._write_restart(hi)
-            if self.start_step == self.total_steps:
-                # Zero-step resume: re-fire end-of-run events in place so
-                # the bundle (and history) are rewritten identically. A
-                # periodic interval that already flushed-and-reset at this
-                # boundary has nothing accumulated and must not rewrite.
-                if self.total_steps in hist_events and self.count > 0:
-                    self._flush_history(self.total_steps, reset=False)
-                if self.total_steps in rest_events:
-                    self._write_restart(self.total_steps)
         finally:
             if pool is not None:
                 pool.shutdown()
@@ -630,150 +633,104 @@ class _Run:
             "sim_hours": float(step * cfg.dt_hours),
         }
 
-    def _aggregate_write(self, writer, name, rank_arrays, record=None):
-        iod = build_iodecomp(self.part, (self.n_land,))
-        plan = make_plan(iod.total_elements, self.cfg.n_aggregators, self.cfg.buffer_limit)
-        stats = rearrange_write(rank_arrays, iod, plan, writer, name, record=record)
-        self.write_stats.append(stats)
+    def _write(self, kind, step, dims, variables, **gattrs):
+        """Write `<case>.<kind>.<date>.nc` inside the `io` region and return
+        its name. Each variable is (name, nc_type, dims, attrs, data): a list
+        of per-rank arrays goes through the aggregated write (as record 0 of
+        a `time` variable), any other data is written whole."""
+        cfg = self.cfg
+        name = f"{cfg.name}.{kind}.{_date_tag(cfg.start, step * cfg.dt_hours)}.nc"
+        model = cdf.CdfModel(
+            variant=cdf.CDF5,
+            dims=dims,
+            gattrs={**self._file_gattrs(step), **gattrs},
+            vars=[cdf.Var(v, t, d, a) for v, t, d, a, _ in variables],
+        )
+        with self.timers.region("io"):
+            with open(os.path.join(self.out_dir, name), "wb") as fh:
+                w = cdf.CdfWriter(fh, model, numrecs=int(any(d.unlimited for d in dims)))
+                for v, _, vdims, _, data in variables:
+                    if isinstance(data, list):
+                        record = 0 if vdims[0] == "time" else None
+                        self.write_stats.append(
+                            rearrange_write(data, self.iod, self.plan, w, v, record=record)
+                        )
+                    else:
+                        w.write_full(v, data)
+                w.close()
+        return name
 
     def _flush_history(self, step, reset: bool):
         cfg = self.cfg
-        tag = _date_tag(cfg.start, step * cfg.dt_hours)
-        path = os.path.join(self.out_dir, f"{cfg.name}.elm.h0.{tag}.nc")
-        model = cdf.CdfModel(variant=cdf.CDF5)
-        model.dims = [cdf.Dim("time", 0, unlimited=True), cdf.Dim("gridcell", self.n_land)]
-        model.gattrs = self._file_gattrs(step)
-        model.gattrs["window_start_hours"] = self.window_start_hours
-        model.gattrs["averaging_steps"] = self.count
-        model.vars.append(
-            cdf.Var("time", cdf.NcType.FLOAT64, ("time",), {"units": "hours since start"})
-        )
         units = {
             "FSNO": "1", "H2OSOI": "mm", "TLAI": "m^2/m^2",
             "TSOI": "K", "QRUNOFF": "mm/h", "GPP": "gC/m^2/h",
         }
-        for name in HIST_VARS:
-            model.vars.append(
-                cdf.Var(
-                    name, cdf.NcType.FLOAT32, ("time", "gridcell"),
-                    {"units": units[name], "cell_method": "time mean"},
-                )
-            )
-        with self.timers.region("io"):
-            with open(path, "wb") as fh:
-                w = cdf.CdfWriter(fh, model, numrecs=1)
-                w.write_full("time", np.array([step * float(cfg.dt_hours)]))
-                for i, name in enumerate(HIST_VARS):
-                    means = [
-                        (r.sums[i] / self.count).astype(np.float32) for r in self.ranks
-                    ]
-                    self._aggregate_write(w, name, means, record=0)
-                w.close()
-        self.history_paths.append(path)
+        hours = step * float(cfg.dt_hours)
+        variables = [
+            ("time", cdf.NcType.FLOAT64, ("time",), {"units": "hours since start"},
+             np.array([hours])),
+        ] + [
+            (name, cdf.NcType.FLOAT32, ("time", "gridcell"),
+             {"units": units[name], "cell_method": "time mean"},
+             [(r.sums[i] / self.count).astype(np.float32) for r in self.ranks])
+            for i, name in enumerate(HIST_VARS)
+        ]
+        dims = [cdf.Dim("time", 0, unlimited=True), cdf.Dim("gridcell", self.n_land)]
+        name = self._write(
+            "elm.h0", step, dims, variables,
+            window_start_hours=self.window_start_hours, averaging_steps=self.count,
+        )
+        self.history_paths.append(os.path.join(self.out_dir, name))
         if reset:
             for r in self.ranks:
                 r.sums[:] = 0.0
             self.count = 0
-            self.window_start_hours = step * float(cfg.dt_hours)
+            self.window_start_hours = hours
 
     def _write_restart(self, step):
         cfg = self.cfg
+        f8, i8 = cdf.NcType.FLOAT64, cdf.NcType.INT64
+        gridcell = [cdf.Dim("gridcell", self.n_land)]
+        # Land restart: full-precision state plus history accumulators, each
+        # with a checksum of its global array.
+        land = [(k, [r.state[k] for r in self.ranks]) for k in STATE_VARS] + [
+            (f"hsum_{v}", [r.sums[i] for r in self.ranks]) for i, v in enumerate(HIST_VARS)
+        ]
+        names = {
+            "elm_r": self._write("elm.r", step, gridcell, [
+                (k, f8, ("gridcell",), {"checksum": _crc(self.iod.gather(ranks), ">f8")}, ranks)
+                for k, ranks in land
+            ], hist_count=self.count),
+            # Coupler restart: last exchanged fields (land-facing units).
+            "cpl_r": self._write("cpl.r", step, gridcell, [
+                (f"x2l_{k}", f8, ("gridcell",),
+                 {"units": "mm/h" if k == "PRECT" else VARIABLES[k].units},
+                 [r.bundle[k] for r in self.ranks])
+                for k in VARIABLES
+            ]),
+            # Data-atmosphere restart: stream position.
+            "datm_r": self._write("datm.r", step, [], [
+                ("next_step", i8, (), {}, np.int64(step)),
+                ("t_hours", f8, (), {}, np.float64(step * cfg.dt_hours)),
+            ]),
+            # Auxiliary restart-history pointer.
+            "rh0": self._write("elm.rh0", step, [], [
+                ("window_start_hours", f8, (), {}, np.float64(self.window_start_hours)),
+                ("hist_count", i8, (), {}, np.int64(self.count)),
+            ], history_interval=cfg.history_interval),
+        }
         tag = _date_tag(cfg.start, step * cfg.dt_hours)
-        iod = build_iodecomp(self.part, (self.n_land,))
-        names = {}
-
-        # Land restart: full-precision state plus history accumulators.
-        path = os.path.join(self.out_dir, f"{cfg.name}.elm.r.{tag}.nc")
-        names["elm_r"] = os.path.basename(path)
-        model = cdf.CdfModel(variant=cdf.CDF5)
-        model.dims = [cdf.Dim("gridcell", self.n_land)]
-        model.gattrs = self._file_gattrs(step)
-        model.gattrs["hist_count"] = self.count
-        state_rank = {k: [r.state[k] for r in self.ranks] for k in STATE_VARS}
-        sums_rank = {v: [r.sums[i] for r in self.ranks] for i, v in enumerate(HIST_VARS)}
-        for name in STATE_VARS:
-            checksum = _crc(iod.gather(state_rank[name]), ">f8")
-            model.vars.append(
-                cdf.Var(name, cdf.NcType.FLOAT64, ("gridcell",), {"checksum": checksum})
-            )
-        for v in HIST_VARS:
-            checksum = _crc(iod.gather(sums_rank[v]), ">f8")
-            model.vars.append(
-                cdf.Var(f"hsum_{v}", cdf.NcType.FLOAT64, ("gridcell",), {"checksum": checksum})
-            )
-        with self.timers.region("io"):
-            with open(path, "wb") as fh:
-                w = cdf.CdfWriter(fh, model, numrecs=0)
-                for name in STATE_VARS:
-                    self._aggregate_write(w, name, state_rank[name])
-                for v in HIST_VARS:
-                    self._aggregate_write(w, f"hsum_{v}", sums_rank[v])
-                w.close()
-
-        # Coupler restart: last exchanged fields (land-facing units).
-        path = os.path.join(self.out_dir, f"{cfg.name}.cpl.r.{tag}.nc")
-        names["cpl_r"] = os.path.basename(path)
-        model = cdf.CdfModel(variant=cdf.CDF5)
-        model.dims = [cdf.Dim("gridcell", self.n_land)]
-        model.gattrs = self._file_gattrs(step)
-        for fname in VARIABLES:
-            units = "mm/h" if fname == "PRECT" else VARIABLES[fname].units
-            model.vars.append(
-                cdf.Var(f"x2l_{fname}", cdf.NcType.FLOAT64, ("gridcell",), {"units": units})
-            )
-        with self.timers.region("io"):
-            with open(path, "wb") as fh:
-                w = cdf.CdfWriter(fh, model, numrecs=0)
-                for fname in VARIABLES:
-                    ranks = [r.bundle[fname] for r in self.ranks]
-                    self._aggregate_write(w, f"x2l_{fname}", ranks)
-                w.close()
-
-        # Data-atmosphere restart: stream position.
-        path = os.path.join(self.out_dir, f"{cfg.name}.datm.r.{tag}.nc")
-        names["datm_r"] = os.path.basename(path)
-        model = cdf.CdfModel(variant=cdf.CDF5)
-        model.gattrs = self._file_gattrs(step)
-        model.vars.append(cdf.Var("next_step", cdf.NcType.INT64, ()))
-        model.vars.append(cdf.Var("t_hours", cdf.NcType.FLOAT64, ()))
-        with open(path, "wb") as fh:
-            cdf.write_file(
-                fh,
-                model,
-                {"next_step": np.int64(step), "t_hours": np.float64(step * cfg.dt_hours)},
-            )
-
-        # Auxiliary restart-history pointer.
-        path = os.path.join(self.out_dir, f"{cfg.name}.elm.rh0.{tag}.nc")
-        names["rh0"] = os.path.basename(path)
-        model = cdf.CdfModel(variant=cdf.CDF5)
-        model.gattrs = self._file_gattrs(step)
-        model.gattrs["history_interval"] = cfg.history_interval
-        model.vars.append(cdf.Var("window_start_hours", cdf.NcType.FLOAT64, ()))
-        model.vars.append(cdf.Var("hist_count", cdf.NcType.INT64, ()))
-        with open(path, "wb") as fh:
-            cdf.write_file(
-                fh,
-                model,
-                {
-                    "window_start_hours": np.float64(self.window_start_hours),
-                    "hist_count": np.int64(self.count),
-                },
-            )
-
-        rpointer = os.path.join(self.out_dir, f"rpointer.{cfg.name}")
-        with open(rpointer, "w") as fh:
+        with open(os.path.join(self.out_dir, f"rpointer.{cfg.name}"), "w") as fh:
             for key, value in names.items():
                 fh.write(f"{key} = {value}\n")
             fh.write(f"date = {tag}\n")
         self.restart_dates.append(tag)
 
     def _write_iostats(self):
-        from .decomp import CSV_HEADER
-
         path = os.path.join(self.out_dir, f"{self.cfg.name}.iostats.csv")
         with open(path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
+            fh.write(IOSTATS_HEADER + "\n")
             for stats in self.write_stats:
                 fh.write(stats.csv_row(self.cfg.name) + "\n")
 
@@ -815,8 +772,7 @@ def resume_case(cfg: CaseConfig, out_dir: str, extra_days: int, restart_dir: str
     rpointer = os.path.join(rdir, f"rpointer.{cfg.name}")
     if not os.path.exists(rpointer):
         raise FileNotFoundError(f"no restart pointer at {rpointer}")
-    with open(rpointer) as fh:
-        entries = dict(line.strip().split(" = ", 1) for line in fh if " = " in line)
+    entries = _read_rpointer(rpointer)
     entries["dir"] = rdir
     return _simulate(cfg, out_dir, resume_entries=entries, extra_days=extra_days)
 

@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import re
 import tempfile
 from dataclasses import replace
 
@@ -437,6 +438,108 @@ class TestRunCase:
         res = run_case(cfg, str(tmp_path / "p"))
         text = open(os.path.join(res.out_dir, "mini.provenance.txt")).read()
         assert "seed = 7" in text and "config_hash" in text
+
+    @pytest.mark.parametrize("key", ["n_aggregators", "buffer_limit"])
+    def test_bad_aggregator_config_rejected_in_setup(self, mini_inputs, tmp_path,
+                                                     monkeypatch, key):
+        from kiloland.forcing import ForcingStream
+
+        opened = []
+        monkeypatch.setattr(ForcingStream, "open", lambda *a, **k: opened.append(a))
+        cfg = make_case_config(mini_inputs, n_days=2, **{key: 0})
+        with pytest.raises(ValueError):
+            run_case(cfg, str(tmp_path / "bad"))
+        assert opened == []
+
+    def test_every_output_file_written_in_io_region(self, mini_inputs, tmp_path):
+        cfg = make_case_config(
+            mini_inputs, n_days=4, history_interval="daily", restart_interval="every:2d"
+        )
+        res = run_case(cfg, str(tmp_path / "io"))
+        assert len(res.history_paths) == 4 and len(res.restart_dates) == 2
+        io = res.timers.children["io"]
+        assert io.count == len(res.history_paths) + 4 * len(res.restart_dates)
+
+    def test_output_headers_pinned(self, mini_inputs, tmp_path):
+        cfg = make_case_config(
+            mini_inputs, n_days=2, history_interval="daily", restart_interval="every:1d"
+        )
+        run_case(cfg, str(tmp_path / "h"))
+        for kind, want in OUTPUT_HEADERS.items():
+            path = str(tmp_path / "h" / f"mini.{kind}.2014-01-03-00000.nc")
+            got = re.sub(r':checksum = "[0-9a-f]{8}"', ':checksum = "*"', cdf.dump_header(path, kind))
+            assert got == want, kind
+
+
+FILE_GATTRS = """global attributes:
+  :case = "mini"
+  :compset = "I1850-toy"
+  :fingerprint = "e02ddb069ef6f9c7"
+  :start = "2014-01-01"
+  :dt_hours = 1
+  :n_land = 613
+  :id_space = 1024
+  :n_copies = 1
+  :sim_hours = 48.0
+"""
+
+# The header of every run output file of a 2-day case with daily history
+# and daily restarts, at its end; the `elm.r` checksums are masked.
+OUTPUT_HEADERS = {
+    "elm.h0": """netcdf elm.h0 format CDF5 numrecs 1
+dimensions:
+  time = UNLIMITED (1 currently)
+  gridcell = 613
+variables:
+  double time(time)
+    time:units = "hours since start"
+""" + "".join(
+        f"""  float {name}(time, gridcell)
+    {name}:units = "{units}"
+    {name}:cell_method = "time mean"
+"""
+        for name, units in zip(HIST_VARS, ("1", "mm", "m^2/m^2", "K", "mm/h", "gC/m^2/h"))
+    ) + FILE_GATTRS + """  :window_start_hours = 24.0
+  :averaging_steps = 24
+""",
+    "elm.r": """netcdf elm.r format CDF5 numrecs 0
+dimensions:
+  gridcell = 613
+variables:
+""" + "".join(
+        f"""  double {name}(gridcell)
+    {name}:checksum = "*"
+"""
+        for name in STATE_VARS + tuple(f"hsum_{v}" for v in HIST_VARS)
+    ) + FILE_GATTRS + """  :hist_count = 0
+""",
+    "cpl.r": """netcdf cpl.r format CDF5 numrecs 0
+dimensions:
+  gridcell = 613
+variables:
+""" + "".join(
+        f"""  double x2l_{name}(gridcell)
+    x2l_{name}:units = "{units}"
+"""
+        for name, units in (
+            ("TBOT", "K"), ("PRECT", "mm/h"), ("FSDS", "W/m^2"), ("FLDS", "W/m^2"),
+            ("QBOT", "kg/kg"), ("WIND", "m/s"), ("PSRF", "Pa"),
+        )
+    ) + FILE_GATTRS,
+    "datm.r": """netcdf datm.r format CDF5 numrecs 0
+dimensions:
+variables:
+  int64 next_step()
+  double t_hours()
+""" + FILE_GATTRS,
+    "elm.rh0": """netcdf elm.rh0 format CDF5 numrecs 0
+dimensions:
+variables:
+  double window_start_hours()
+  int64 hist_count()
+""" + FILE_GATTRS + """  :history_interval = "daily"
+""",
+}
 
 
 def record_surface_reads(monkeypatch) -> list:
