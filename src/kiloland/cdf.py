@@ -302,8 +302,9 @@ def _build_header(model: CdfModel, numrecs: int) -> bytes:
     return b.bytes()
 
 
-def _layout(model: CdfModel, numrecs: int) -> SizeAccounting:
-    """Assign begin/vsize to every variable and account for all bytes."""
+def compute_size(model: CdfModel, numrecs: int = 0) -> SizeAccounting:
+    """Exact byte accounting for the file this model would produce; assigns
+    begin/vsize to every variable."""
     model.validate()
     for v in model.vars:
         slab = _per_slab_elems(model, v) * v.nc_type.size
@@ -329,11 +330,6 @@ def _layout(model: CdfModel, numrecs: int) -> SizeAccounting:
     return SizeAccounting(header_len, fixed_bytes, record_size, numrecs)
 
 
-def compute_size(model: CdfModel, numrecs: int = 0) -> SizeAccounting:
-    """Exact byte accounting for the file this model would produce."""
-    return _layout(model, numrecs)
-
-
 class CdfWriter:
     """Streaming writer: header up front, data by full array or by element
     range, with an exactness check that every element was written once.
@@ -345,7 +341,7 @@ class CdfWriter:
     def __init__(self, target, model: CdfModel, numrecs: int = 0):
         self.model = model
         self.numrecs = numrecs
-        self.accounting = _layout(model, numrecs)
+        self.accounting = compute_size(model, numrecs)
         self._record_size = self.accounting.record_size
         self._written = {v.name: 0 for v in model.vars}
         self._expected = {

@@ -11,13 +11,12 @@ directory.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import os
 import sys
 
 
-from . import __version__, cdf
+from . import __version__, cdf, write_provenance
 from .cdf import CdfError
 
 def _out_dir(args) -> str:
@@ -26,13 +25,8 @@ def _out_dir(args) -> str:
     return out
 
 
-def _provenance(out_dir: str, name: str, args, seed) -> None:
-    payload = repr(sorted(vars(args).items())).encode()
-    digest = hashlib.sha256(payload).hexdigest()[:16]
-    with open(os.path.join(out_dir, f"{name}.provenance.txt"), "w") as fh:
-        fh.write(f"config_hash = {digest}\n")
-        fh.write(f"seed = {seed}\n")
-        fh.write(f"version = {__version__}\n")
+def _provenance(out_dir: str, name: str, args) -> None:
+    write_provenance(out_dir, name, sorted(vars(args).items()), args.seed)
 
 
 def cmd_make_domain(args) -> int:
@@ -53,7 +47,7 @@ def cmd_make_domain(args) -> int:
     d = build_domain(grid, synth_mask(args.rows, args.cols, args.land_fraction, args.seed))
     path = os.path.join(out, args.name)
     write_domain(d, path)
-    _provenance(out, args.name, args, args.seed)
+    _provenance(out, args.name, args)
     print(f"domain: {path} ({d.n_land} land cells of {grid.n_cells})")
     return 0
 
@@ -72,7 +66,7 @@ def cmd_gen_forcing(args) -> int:
         if month > 12:
             year, month = year + 1, 1
     paths = gen_forcing_files(args.seed, d, months, out)
-    _provenance(out, "forcing", args, args.seed)
+    _provenance(out, "forcing", args)
     for p in paths:
         print(f"forcing: {p}")
     return 0
@@ -96,7 +90,7 @@ def cmd_gen_surface(args) -> int:
     ds = build_surface(d, src, {name: args.method for name in src.values})
     path = os.path.join(out, args.name)
     write_surface(ds, path)
-    _provenance(out, args.name, args, args.seed)
+    _provenance(out, args.name, args)
     print(f"surface: {path} ({len(ds.values)} variables, {ds.n_land} cells)")
     return 0
 
@@ -117,7 +111,7 @@ def cmd_subset(args) -> int:
         s = subset(d, ids=[int(x) for x in args.ids.split(",")])
     path = os.path.join(out, args.name)
     write_domain(s, path)
-    _provenance(out, args.name, args, args.seed)
+    _provenance(out, args.name, args)
     print(f"subset: {path} ({s.n_land} land cells)")
     return 0
 
@@ -130,7 +124,7 @@ def cmd_replicate(args) -> int:
     r = replicate(d, args.factor)
     path = os.path.join(out, args.name)
     write_domain(r, path)
-    _provenance(out, args.name, args, args.seed)
+    _provenance(out, args.name, args)
     print(f"replicated x{args.factor}: {path} ({r.n_land} land cells)")
     return 0
 
@@ -196,13 +190,7 @@ def cmd_bench(args) -> int:
     cfg = CaseConfig.from_file(args.case)
     out = _out_dir(args)
     workers = [int(w) for w in args.workers.split(",")]
-    result = run_scaling_suite(
-        cfg,
-        workers,
-        mode=args.mode,
-        out_dir=out,
-        cells_per_worker=args.cells_per_worker,
-    )
+    result = run_scaling_suite(cfg, workers, mode=args.mode, out_dir=out)
     print(f"csv: {result['csv']}")
     print(f"svg: {result['svg']}")
     lnd = result["tables"]["LND"]
@@ -366,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default=None)
     p.add_argument("--mode", required=True, choices=["strong", "weak"])
     p.add_argument("--workers", default="1,2")
-    p.add_argument("--cells-per-worker", type=int, default=1700)
     common(p)
     p.set_defaults(func=cmd_bench)
 

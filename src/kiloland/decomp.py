@@ -2,11 +2,11 @@
 
 Three gridcell partitioning schemes (round-robin, block, block
 round-robin) assign cells to ranks; an I/O decomposition maps each rank's
-local elements of a variable to global file offsets; aggregators gather
-contiguous offset ranges from the owning ranks and write them through one
-cdf writer, flushing at a configurable buffer limit. The emitted bytes are
-bit-identical to a serial write for every scheme, aggregator count, and
-buffer size.
+local elements of a variable to global file offsets; a write gathers the
+ranks' data once and each aggregator writes its contiguous offset range of
+it through one cdf writer, flushing at a configurable buffer limit. The
+emitted bytes are bit-identical to a serial write for every scheme,
+aggregator count, and buffer size.
 """
 
 from __future__ import annotations
@@ -98,51 +98,73 @@ class IoDecomp:
 
     A variable with `lead` leading elements (product of non-gridcell,
     non-record dims) stores element (L, cell) at offset L*n_cells + cell.
-    Local data is laid out (lead, n_local), flattened row-major.
+    Local data is laid out (lead, n_local), flattened row-major. Each
+    rank's offsets are computed once, at construction, and must cover
+    [0, total) exactly once.
     """
 
     part: Partition
     lead: int
     n_cells: int
+    rank_offsets: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        base = np.arange(self.lead, dtype=np.int64)[:, None] * self.n_cells
+        self.rank_offsets = [
+            (base + np.asarray(cells, dtype=np.int64)[None, :]).reshape(-1)
+            for cells in self.part.local_lists
+        ]
+        total = self.total_elements
+        offs = np.concatenate(self.rank_offsets)
+        inside = (offs >= 0) & (offs < total)
+        counts = np.bincount(offs[inside], minlength=total)
+        bad = np.concatenate([offs[~inside], np.flatnonzero(counts != 1)])
+        if bad.size:
+            raise ValueError(
+                f"rank offsets do not cover [0, {total}) exactly once "
+                f"(first bad offset {int(bad.min())})"
+            )
 
     @property
     def total_elements(self) -> int:
         return self.lead * self.n_cells
 
-    def n_local(self, rank: int) -> int:
-        return self.lead * len(self.part.local_lists[rank])
-
     def offsets(self, rank: int) -> np.ndarray:
-        cells = self.part.local_lists[rank]
-        base = np.arange(self.lead, dtype=np.int64)[:, None] * self.n_cells
-        return (base + cells[None, :]).reshape(-1)
+        return self.rank_offsets[rank]
 
     def gather(self, local_datas: list) -> np.ndarray:
         """Assemble the global flat array from per-rank local arrays."""
+        if len(local_datas) != len(self.rank_offsets):
+            raise ValueError(
+                f"{len(local_datas)} rank arrays for {len(self.rank_offsets)} ranks"
+            )
         out = None
-        for rank, local in enumerate(local_datas):
+        for rank, (local, offs) in enumerate(zip(local_datas, self.rank_offsets)):
             local = np.asarray(local).reshape(-1)
-            if local.size != self.n_local(rank):
+            if local.size != offs.size:
+                first = int(offs[min(local.size, offs.size - 1)]) if offs.size else None
                 raise ValueError(
-                    f"rank {rank}: {local.size} elements, expected {self.n_local(rank)}"
+                    f"rank {rank} supplied {local.size} of {offs.size} elements "
+                    f"(first mismatch at offset {first})"
                 )
             if out is None:
                 out = np.empty(self.total_elements, dtype=local.dtype)
-            out[self.offsets(rank)] = local
+            out[offs] = local
         return out
 
     def scatter(self, global_data) -> list:
         flat = np.asarray(global_data).reshape(-1)
         if flat.size != self.total_elements:
             raise ValueError(f"expected {self.total_elements} elements, got {flat.size}")
-        return [flat[self.offsets(r)] for r in range(self.part.n_ranks)]
+        return [flat[offs] for offs in self.rank_offsets]
 
 
 def build_iodecomp(part: Partition, var_shape) -> IoDecomp:
     """I/O decomposition for a variable shaped (*leading, gridcell).
 
     The record dimension, if any, is excluded from `var_shape`; records are
-    rearranged one at a time.
+    rearranged one at a time. Raises `ValueError` naming the first offset
+    that the partition's ranks miss or repeat.
     """
     var_shape = tuple(int(n) for n in var_shape)
     if not var_shape or var_shape[-1] != part.n_cells:
@@ -230,61 +252,29 @@ def rearrange_write(
     var_name: str,
     record: int | None = None,
 ) -> WriteStats:
-    """Gather each aggregator's contiguous range from the owning ranks and
-    write it, flushing at most `buffer_limit` bytes at a time.
+    """Gather the ranks' data once and write each aggregator's contiguous
+    range of it, flushing at most `buffer_limit` bytes at a time.
 
     The assembled bytes depend only on the decomposition, never on gather
     order, so the file is bit-identical to a serial write.
     """
     plan.validate(iod.total_elements)
-    v = writer.model.var(var_name)
-    itemsize = v.nc_type.size
+    itemsize = writer.model.var(var_name).nc_type.size
     t0 = time.perf_counter()
-    total_bytes = 0
+    try:
+        flat = iod.gather(local_datas)
+    except ValueError as err:
+        raise ValueError(f"{var_name}: {err}") from None
+    max_elems = max(plan.buffer_limit // itemsize, 1)
     per_agg = []
-    rank_offsets = [iod.offsets(r) for r in range(iod.part.n_ranks)]
-    for rank, local in enumerate(local_datas):
-        have = np.asarray(local).reshape(-1).size
-        want = iod.n_local(rank)
-        if have != want:
-            first = int(rank_offsets[rank][min(have, want - 1)])
-            raise ValueError(
-                f"{var_name}: rank {rank} supplied {have} of {want} elements "
-                f"(first mismatch at offset {first})"
-            )
     for lo, hi in plan.ranges:
-        n = hi - lo
-        buf = None
-        seen = np.zeros(n, dtype=np.uint8)
-        for rank, local in enumerate(local_datas):
-            local = np.asarray(local).reshape(-1)
-            offs = rank_offsets[rank]
-            sel = (offs >= lo) & (offs < hi)
-            if not sel.any():
-                continue
-            if buf is None:
-                buf = np.empty(n, dtype=local.dtype)
-            dest = offs[sel] - lo
-            buf[dest] = local[sel]
-            seen[dest] += 1
-        if n and (buf is None or (seen != 1).any()):
-            bad = lo + int(np.argmax(seen != 1)) if buf is not None else lo
-            raise ValueError(
-                f"{var_name}: aggregator range [{lo}, {hi}) not covered exactly "
-                f"once at offset {bad}"
-            )
-        max_elems = max(plan.buffer_limit // itemsize, 1)
-        pos = 0
-        while pos < n:
-            chunk = buf[pos : pos + max_elems]
-            writer.write_elements(var_name, lo + pos, chunk, record=record)
-            pos += len(chunk)
-        agg_bytes = n * itemsize
-        per_agg.append(agg_bytes)
-        total_bytes += agg_bytes
+        for pos in range(lo, hi, max_elems):
+            writer.write_elements(var_name, pos, flat[pos : min(pos + max_elems, hi)],
+                                  record=record)
+        per_agg.append((hi - lo) * itemsize)
     return WriteStats(
         variable=var_name,
-        bytes_written=total_bytes,
+        bytes_written=sum(per_agg),
         seconds=time.perf_counter() - t0,
         n_aggregators=plan.n_aggregators,
         buffer_limit=plan.buffer_limit,

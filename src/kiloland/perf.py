@@ -352,12 +352,12 @@ def run_scaling_suite(
     worker_counts: list,
     mode: str,
     out_dir: str,
-    cells_per_worker: int = 1700,
     check_equivalence: bool = True,
     repeats: int = 1,
 ) -> dict:
     """Run a case across worker counts (strong: fixed case; weak: the case
-    replicated proportionally at `cells_per_worker` cells per worker).
+    replicated `w` times for `w` workers, so each worker keeps the case's
+    own cell count and `cells_per_core` is `n_land / w`).
 
     With `repeats` > 1 each point is measured several times and the run
     with the smallest land time is kept (the minimum is the least

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import multiprocessing
 import numpy as np
 
-from . import cdf
+from . import cdf, write_provenance
 from .decomp import (
     DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, build_iodecomp, make_plan, partition, rearrange_write,
 )
@@ -227,10 +227,7 @@ class CaseConfig:
         "io.n_aggregators": "n_aggregators",
         "io.buffer_limit": "buffer_limit",
     }
-    _INT_FIELDS = {
-        "n_days", "dt_hours", "seed", "lnd_workers", "block_size",
-        "n_aggregators", "buffer_limit",
-    }
+    _INT_FIELDS = {k for k, t in __annotations__.items() if t == "int"}
 
     @classmethod
     def from_file(cls, path: str) -> "CaseConfig":
@@ -378,8 +375,7 @@ def _event_steps(total_steps, steps_per_day, interval, kind):
     if kind == "history" and interval == "daily":
         return set(range(steps_per_day, total_steps + 1, steps_per_day))
     if kind == "history" and interval == "hourly":
-        per_hour = max(steps_per_day // 24, 1)
-        return set(range(per_hour, total_steps + 1, per_hour))
+        return set(range(1, total_steps + 1))
     m = re.fullmatch(r"every:(\d+)d", interval)
     if kind == "restart" and m:
         per = int(m.group(1)) * steps_per_day
@@ -736,17 +732,8 @@ class _Run:
 
     def _write_provenance(self):
         cfg = self.cfg
-        path = os.path.join(self.out_dir, f"{cfg.name}.provenance.txt")
-        cfg_digest = hashlib.sha256(
-            repr({k: getattr(cfg, a) for k, a in cfg._KEYMAP.items()}).encode()
-        ).hexdigest()[:16]
-        from . import __version__
-
-        with open(path, "w") as fh:
-            fh.write(f"config_hash = {cfg_digest}\n")
-            fh.write(f"fingerprint = {cfg.fingerprint()}\n")
-            fh.write(f"seed = {cfg.seed}\n")
-            fh.write(f"version = {__version__}\n")
+        config = {k: getattr(cfg, a) for k, a in cfg._KEYMAP.items()}
+        write_provenance(self.out_dir, cfg.name, config, cfg.seed, cfg.fingerprint())
 
 
 def _simulate(cfg: CaseConfig, out_dir: str, resume_entries=None, extra_days=None) -> RunResult:

@@ -476,7 +476,6 @@ def test_c10_desk_weak_scaling(tmp_path_factory):
         workers,
         mode="weak",
         out_dir=str(root / "weak"),
-        cells_per_worker=1_700,
         repeats=3,
     )
     lnd = result["tables"]["LND"]

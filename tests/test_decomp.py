@@ -12,6 +12,7 @@ from kiloland.decomp import (
     DEFAULT_BUFFER_LIMIT,
     ROUND_ROBIN,
     SCHEMES,
+    Partition,
     build_iodecomp,
     make_plan,
     partition,
@@ -120,6 +121,28 @@ class TestIoDecomp:
         all_offsets = np.concatenate([iod.offsets(r) for r in range(7)])
         assert sorted(all_offsets) == list(range(150))
 
+    @pytest.mark.parametrize(
+        "local_lists, bad",
+        [
+            ([[0, 1, 2, 3], [3, 4, 5]], 3),  # cell 3 on both ranks
+            ([[0, 1], [2, 3, 5]], 4),  # cell 4 on no rank
+            ([[0, 1, 2], [3, 4, 6]], 5),  # cell 6 outside the domain, 5 missing
+        ],
+    )
+    def test_rejects_partition_that_misses_or_repeats_a_cell(self, local_lists, bad):
+        part = Partition(
+            scheme=BLOCK,
+            n_cells=6,
+            n_ranks=2,
+            block_size=None,
+            assignment=np.zeros(6, dtype=np.int32),
+            local_lists=[np.array(cells) for cells in local_lists],
+        )
+        with pytest.raises(ValueError, match=rf"exactly once \(first bad offset {bad}\)"):
+            build_iodecomp(part, (6,))
+        with pytest.raises(ValueError, match=rf"first bad offset {bad}\)"):
+            build_iodecomp(part, (2, 6))
+
 
 class TestPlan:
     def test_default_buffer_limit_is_64_mib(self):
@@ -210,6 +233,54 @@ class TestRearrangeWrite:
         row = stats.csv_row("case1")
         assert row.startswith("case1,v,1024,")
         assert row.endswith(",2,1024")
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_write_call_sequence_pinned(self, scheme, rng):
+        """Each aggregator's range goes out in buffer-limit chunks, in
+        aggregator order, whatever the partition."""
+        n, numrecs = 601, 2
+        calls = []
+
+        class RecordingWriter(cdf.CdfWriter):
+            def write_elements(self, name, start, values, record=None):
+                calls.append((start, np.asarray(values).size, record))
+                super().write_elements(name, start, values, record=record)
+
+        model = cdf.CdfModel(
+            variant=cdf.CDF5, dims=[cdf.Dim("time", 0, True), cdf.Dim("gridcell", n)]
+        )
+        model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("time", "gridcell")))
+        part = partition(n, 8, scheme)
+        iod = build_iodecomp(part, (n,))
+        plan = make_plan(n, 3, 1024)
+        w = RecordingWriter(io.BytesIO(), model, numrecs=numrecs)
+        for rec in range(numrecs):
+            rearrange_write(iod.scatter(rng.standard_normal(n)), iod, plan, w, "v", record=rec)
+        w.close()
+        chunks = [(0, 128), (128, 73), (201, 128), (329, 72), (401, 128), (529, 72)]
+        assert calls == [(s, k, rec) for rec in range(numrecs) for s, k in chunks]
+
+    def test_rank_count_mismatch_rejected(self, rng):
+        n = 16
+        part = partition(n, 2, BLOCK)
+        iod = build_iodecomp(part, (n,))
+        model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("gridcell", n)])
+        model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
+        w = cdf.CdfWriter(io.BytesIO(), model)
+        locals_ = iod.scatter(rng.standard_normal(n))
+        with pytest.raises(ValueError, match="1 rank arrays for 2 ranks"):
+            rearrange_write(locals_[:1], iod, make_plan(n, 1), w, "v")
+
+    def test_data_for_an_empty_rank_rejected(self):
+        with pytest.warns(UserWarning, match="empty ranks"):
+            part = partition(3, 4, ROUND_ROBIN)
+        iod = build_iodecomp(part, (3,))
+        model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("gridcell", 3)])
+        model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
+        w = cdf.CdfWriter(io.BytesIO(), model)
+        locals_ = [np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1)]
+        with pytest.raises(ValueError, match="v: rank 3 supplied 1 of 0 elements"):
+            rearrange_write(locals_, iod, make_plan(3, 1), w, "v")
 
     def test_integrity_error_names_offset(self, rng):
         n = 16

@@ -254,9 +254,7 @@ class TestMeasuredSuite:
     def test_weak_smoke(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs, n_days=1)
         out = str(tmp_path / "weak")
-        result = run_scaling_suite(
-            cfg, [1, 2], mode="weak", out_dir=out, cells_per_worker=613
-        )
+        result = run_scaling_suite(cfg, [1, 2], mode="weak", out_dir=out)
         lnd = result["tables"]["LND"]
         assert lnd.records[0].cells_per_core == 613
         assert lnd.records[1].cells_per_core == 613
