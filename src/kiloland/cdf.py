@@ -461,7 +461,10 @@ class _HeaderParser:
     def name(self) -> str:
         n = self.nonneg()
         raw = self.read(n + (-n % 4))
-        return raw[:n].decode("utf-8")
+        try:
+            return raw[:n].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CdfError(f"name is not UTF-8: {raw[:n]!r}") from e
 
     def list_header(self, expect_tag: int) -> int:
         tag = self.u32()

@@ -25,8 +25,14 @@ def _out_dir(args) -> str:
     return out
 
 
+# Namespace entries that do not shape an artifact: the handler (its repr
+# carries a memory address), the log level and the output directories.
+_UNHASHED_ARGS = ("func", "log_level", "out", "g_out")
+
+
 def _provenance(out_dir: str, name: str, args) -> None:
-    write_provenance(out_dir, name, sorted(vars(args).items()), args.seed)
+    options = sorted((k, v) for k, v in vars(args).items() if k not in _UNHASHED_ARGS)
+    write_provenance(out_dir, name, options, args.seed)
 
 
 def cmd_make_domain(args) -> int:

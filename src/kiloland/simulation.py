@@ -94,42 +94,84 @@ def step_cells(state: dict, forcing: dict, p: ToyParams, dt: float):
     start, evapotranspiration is capped by available water, and soil-water
     overflow leaves as runoff, so per cell and step
     precip*dt == d(swe) + d(soil_water) + et + runoff exactly.
-    Diagnostics are stacked (len(HIST_VARS), n) in HIST_VARS order.
+    Diagnostics are rows (len(HIST_VARS), n) in HIST_VARS order; the new
+    soil_water and soil_temp are views of their rows.
+
+    Each element goes through the float64 operations of the formula in the
+    comment above each block, in the order written. Every intermediate is
+    computed once, into an array this call allocated (`out=`), never into
+    an input: the forcing arrays may be the stream's read-only cache.
+    Scalar or 0-d inputs broadcast against the others.
     """
     tbot = forcing["TBOT"]
     prect = forcing["PRECT"]  # mm/h
     fsds = forcing["FSDS"]
-    if np.any(np.isnan(tbot)) or np.any(np.isnan(prect)) or np.any(np.isnan(fsds)):
+    # min() propagates NaN, so one reduction per input finds any.
+    if any(np.size(x) and np.isnan(np.min(x)) for x in (tbot, prect, fsds)):
         bad = np.flatnonzero(np.isnan(np.asarray(tbot) + np.asarray(prect) + np.asarray(fsds)))
         raise ValueError(f"NaN forcing at cells {bad[:5].tolist()}")
-    precip = prect * dt
+    swe, water, temp, c_leaf, c_soil = (state[k] for k in STATE_VARS)
+    shape = np.broadcast_shapes(*(np.shape(x) for x in (tbot, prect, fsds, swe, water, temp,
+                                                        c_leaf, c_soil)))
+    diag = np.empty((len(HIST_VARS),) + shape)
+    fsno, h2osoi, tlai, tsoi, qrunoff, gpp = (diag[i, ...] for i in range(len(HIST_VARS)))
+
+    # snow = precip where tbot < threshold, else 0; rain = precip - snow
+    precip = np.multiply(prect, dt, out=np.empty(shape))
     snow = np.where(tbot < p.rain_snow_threshold, precip, 0.0)
-    rain = precip - snow
-    melt = np.minimum(state["swe"] + snow, p.melt_factor * np.maximum(tbot - FREEZE_K, 0.0) * dt)
-    wet = state["soil_water"] / p.w_cap
-    et = np.minimum(p.et_coeff * fsds * wet * dt, state["soil_water"] + rain + melt)
-    filled = state["soil_water"] + rain + melt - et
-    runoff = np.maximum(filled - p.w_cap, 0.0)
-    gpp = p.gpp_coeff * fsds * wet
-    new = {
-        "swe": state["swe"] + snow - melt,
-        "soil_water": filled - runoff,
-        "soil_temp": state["soil_temp"] + (tbot - state["soil_temp"]) * (dt / p.temp_tau),
-        "c_leaf": state["c_leaf"] + (p.alloc * gpp - p.k_leaf * state["c_leaf"]) * dt,
-        "c_soil": state["c_soil"]
-        + ((1.0 - p.alloc) * gpp + p.k_leaf * state["c_leaf"] * 0.5 - p.k_soil * state["c_soil"])
-        * dt,
-    }
-    diag = np.stack(
-        [
-            new["swe"] / (new["swe"] + p.snow_cover_scale),
-            new["soil_water"],
-            p.lai_per_c * new["c_leaf"],
-            new["soil_temp"],
-            runoff / dt,
-            gpp,
-        ]
-    )
+    rain = np.subtract(precip, snow, out=precip)
+    # melt = min(swe + snow, melt_factor * max(tbot - FREEZE_K, 0) * dt)
+    swe_snow = np.add(swe, snow, out=snow)
+    melt = np.subtract(tbot, FREEZE_K, out=np.empty(shape))
+    np.maximum(melt, 0.0, out=melt)
+    np.multiply(p.melt_factor, melt, out=melt)
+    np.multiply(melt, dt, out=melt)
+    np.minimum(swe_snow, melt, out=melt)
+    # et = min(et_coeff * fsds * wet * dt, soil_water + rain + melt)
+    wet = np.divide(water, p.w_cap, out=np.empty(shape))
+    et = np.multiply(p.et_coeff, fsds, out=np.empty(shape))
+    np.multiply(et, wet, out=et)
+    np.multiply(et, dt, out=et)
+    avail = np.add(water, rain, out=rain)
+    np.add(avail, melt, out=avail)
+    np.minimum(et, avail, out=et)
+    # filled = soil_water + rain + melt - et; runoff = max(filled - w_cap, 0)
+    filled = np.subtract(avail, et, out=avail)
+    runoff = np.subtract(filled, p.w_cap, out=et)
+    np.maximum(runoff, 0.0, out=runoff)
+    # gpp = gpp_coeff * fsds * wet
+    np.multiply(p.gpp_coeff, fsds, out=gpp)
+    np.multiply(gpp, wet, out=gpp)
+
+    # swe' = swe + snow - melt; soil_water' = filled - runoff
+    new_swe = np.subtract(swe_snow, melt, out=swe_snow)
+    np.subtract(filled, runoff, out=h2osoi)
+    # soil_temp' = soil_temp + (tbot - soil_temp) * (dt / temp_tau)
+    np.subtract(tbot, temp, out=tsoi)
+    np.multiply(tsoi, dt / p.temp_tau, out=tsoi)
+    np.add(temp, tsoi, out=tsoi)
+    # c_leaf' = c_leaf + (alloc * gpp - k_leaf * c_leaf) * dt
+    leaf_loss = np.multiply(p.k_leaf, c_leaf, out=melt)
+    new_leaf = np.multiply(p.alloc, gpp, out=filled)
+    np.subtract(new_leaf, leaf_loss, out=new_leaf)
+    np.multiply(new_leaf, dt, out=new_leaf)
+    np.add(c_leaf, new_leaf, out=new_leaf)
+    # c_soil' = c_soil
+    #     + ((1 - alloc) * gpp + k_leaf * c_leaf * 0.5 - k_soil * c_soil) * dt
+    new_soil = np.multiply(1.0 - p.alloc, gpp, out=wet)
+    np.add(new_soil, np.multiply(leaf_loss, 0.5, out=leaf_loss), out=new_soil)
+    np.subtract(new_soil, np.multiply(p.k_soil, c_soil, out=leaf_loss), out=new_soil)
+    np.multiply(new_soil, dt, out=new_soil)
+    np.add(c_soil, new_soil, out=new_soil)
+
+    # FSNO = swe' / (swe' + snow_cover_scale); TLAI = lai_per_c * c_leaf';
+    # QRUNOFF = runoff / dt
+    np.add(new_swe, p.snow_cover_scale, out=fsno)
+    np.divide(new_swe, fsno, out=fsno)
+    np.multiply(p.lai_per_c, new_leaf, out=tlai)
+    np.divide(runoff, dt, out=qrunoff)
+    new = {"swe": new_swe, "soil_water": h2osoi, "soil_temp": tsoi, "c_leaf": new_leaf,
+           "c_soil": new_soil}
     return new, diag
 
 

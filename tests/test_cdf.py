@@ -258,6 +258,14 @@ class TestErrors:
         with pytest.raises(CdfError, match="overlaps the header"):
             read_file(bytes(blob))
 
+    @pytest.mark.parametrize("offset", [32, 76], ids=["dim", "var"])
+    def test_non_utf8_name_rejected(self, offset):
+        blob = bytearray(golden_one_var_cdf5())
+        assert blob[offset:offset + 1] in (b"x", b"v")
+        blob[offset] = 0xFF
+        with pytest.raises(CdfError, match="not UTF-8"):
+            read_file(bytes(blob))
+
     def test_unsupported_type_code(self):
         blob = bytearray(golden_one_var_cdf5())
         blob[108:112] = struct.pack(">i", 3)  # the var's nc_type field -> NC_SHORT

@@ -3,8 +3,10 @@ import subprocess
 import sys
 from csv import DictReader
 
+import numpy as np
 import pytest
 
+from kiloland import cdf
 from kiloland.cli import main
 from kiloland.compare import files_bit_identical
 
@@ -67,6 +69,16 @@ class TestExitCodes:
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert run_cli("dump", str(tmp_path / "nope.nc")) == 3
+
+    def test_non_utf8_name_is_format_error(self, tmp_path, capsys):
+        model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("n", 2)])
+        model.vars.append(cdf.Var("tbot", cdf.NcType.FLOAT64, ("n",)))
+        blob = bytearray(cdf.write_file(None, model, {"tbot": np.zeros(2)}))
+        blob[blob.index(b"tbot")] = 0xFF
+        path = tmp_path / "bad.nc"
+        path.write_bytes(bytes(blob))
+        assert run_cli("dump", str(path)) == 3
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_validation_failure_is_one(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -265,6 +277,37 @@ class TestBenchPredictReport:
 
 
 class TestConsoleScript:
+    def test_pipeline_reproducible_across_processes(self, tmp_path):
+        """Fresh interpreters with different hash seeds, writing into the
+        same cleared directory, give the same bytes, provenance included."""
+        import kiloland
+
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(kiloland.__file__))
+        domain = str(out / "domain.nc")
+        steps = [
+            ["make-domain", "--rows", "4", "--cols", "4"],
+            ["gen-forcing", "--domain", domain],
+            ["gen-surface", "--domain", domain],
+        ]
+        runs = []
+        for hash_seed in ("1", "2"):
+            if out.exists():
+                for f in out.iterdir():
+                    f.unlink()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            for argv in steps:
+                proc = subprocess.run([sys.executable, "-m", "kiloland.cli", *argv, "--out", str(out)],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+            runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert sorted(runs[0]) == sorted(runs[1])
+        assert {f for f in runs[0] if f.endswith(".provenance.txt")} == {
+            "domain.nc.provenance.txt", "forcing.provenance.txt", "surface.nc.provenance.txt"}
+        for name in runs[0]:
+            assert runs[0][name] == runs[1][name], name
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "kiloland.cli", "--version"],

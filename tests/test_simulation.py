@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from kiloland import cdf
 from kiloland.compare import check_replication, files_bit_identical
 from kiloland.simulation import (
+    FREEZE_K,
     CaseConfig,
     FORCING_INPUTS,
     HIST_VARS,
@@ -197,6 +198,134 @@ class TestStepCell:
         s0 = {k: np.array([v]) for k, v in state().items()}
         step_cells(s0, f, P, 1.0)
         assert f.read == set(FORCING_INPUTS)
+
+
+def reference_step(state, forcing, p, dt):
+    """The straight-line formulas of the column update, one fresh array per
+    operation: the form `step_cells` must match byte for byte."""
+    tbot = forcing["TBOT"]
+    prect = forcing["PRECT"]  # mm/h
+    fsds = forcing["FSDS"]
+    precip = prect * dt
+    snow = np.where(tbot < p.rain_snow_threshold, precip, 0.0)
+    rain = precip - snow
+    melt = np.minimum(state["swe"] + snow, p.melt_factor * np.maximum(tbot - FREEZE_K, 0.0) * dt)
+    wet = state["soil_water"] / p.w_cap
+    et = np.minimum(p.et_coeff * fsds * wet * dt, state["soil_water"] + rain + melt)
+    filled = state["soil_water"] + rain + melt - et
+    runoff = np.maximum(filled - p.w_cap, 0.0)
+    gpp = p.gpp_coeff * fsds * wet
+    new = {
+        "swe": state["swe"] + snow - melt,
+        "soil_water": filled - runoff,
+        "soil_temp": state["soil_temp"] + (tbot - state["soil_temp"]) * (dt / p.temp_tau),
+        "c_leaf": state["c_leaf"] + (p.alloc * gpp - p.k_leaf * state["c_leaf"]) * dt,
+        "c_soil": state["c_soil"]
+        + ((1.0 - p.alloc) * gpp + p.k_leaf * state["c_leaf"] * 0.5 - p.k_soil * state["c_soil"])
+        * dt,
+    }
+    diag = np.stack(
+        [
+            new["swe"] / (new["swe"] + p.snow_cover_scale),
+            new["soil_water"],
+            p.lai_per_c * new["c_leaf"],
+            new["soil_temp"],
+            runoff / dt,
+            gpp,
+        ]
+    )
+    return new, diag
+
+
+def assert_same_bytes(got, want):
+    got_s, got_d = got
+    want_s, want_d = want
+    for k in STATE_VARS:
+        g, w = np.asarray(got_s[k]), np.asarray(want_s[k])
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), k
+    assert got_d.shape == want_d.shape
+    for j, k in enumerate(HIST_VARS):
+        assert got_d[j].tobytes() == want_d[j].tobytes(), k
+
+
+def cells(values, n):
+    """A strategy for `n`-cell float64 arrays drawn from `values`."""
+    return st.lists(values, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64))
+
+
+# Step lengths other than the driver's 1 h, and a rain/snow threshold off
+# the melt point so the two branches part.
+STEP_DTS = st.sampled_from([1.0, 0.25, 0.5, 3.0, 1 / 3])
+STEP_PARAMS = st.sampled_from([P, replace(P, rain_snow_threshold=FREEZE_K + 1.0)])
+
+
+@st.composite
+def kernel_case(draw, n):
+    p = draw(STEP_PARAMS)
+    edge_t = st.sampled_from([p.rain_snow_threshold, FREEZE_K])
+    s = {
+        "swe": draw(cells(st.one_of(st.floats(0, 50), st.just(0.0)), n)),
+        "soil_water": draw(cells(st.one_of(st.floats(0, p.w_cap), st.sampled_from([0.0, p.w_cap])), n)),
+        "soil_temp": draw(cells(st.floats(240, 310), n)),
+        "c_leaf": draw(cells(st.floats(0, 500), n)),
+        "c_soil": draw(cells(st.floats(0, 5000), n)),
+    }
+    f = {
+        "TBOT": draw(cells(st.one_of(st.floats(230, 310), edge_t), n)),
+        "PRECT": draw(cells(st.one_of(st.floats(0, 30), st.just(0.0)), n)),
+        "FSDS": draw(cells(st.one_of(st.floats(0, 1200), st.just(0.0)), n)),
+    }
+    return s, f, p, draw(STEP_DTS)
+
+
+class TestStepCellsBitExact:
+    """`step_cells` writes its intermediates into arrays it owns; every
+    output byte must still be that of the straight-line formulas."""
+
+    @given(data=st.data(), n=st.integers(1, 16))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, data, n):
+        s, f, p, dt = data.draw(kernel_case(n))
+        before = {k: v.copy() for k, v in {**s, **f}.items()}
+        for v in f.values():
+            v.flags.writeable = False  # as the stream's bracket cache hands them out
+        got = step_cells(s, f, p, dt)
+        assert_same_bytes(got, reference_step(s, f, p, dt))
+        for k, v in {**s, **f}.items():
+            assert v.tobytes() == before[k].tobytes(), f"input {k} was written"
+
+    @given(data=st.data(), n=st.integers(1, 16))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_forcing_broadcasts_over_cells(self, data, n):
+        s, f, p, dt = data.draw(kernel_case(n))
+        f0 = {k: np.array(v[0]) for k, v in f.items()}
+        got = step_cells(s, f0, p, dt)
+        assert got[1].shape == (len(HIST_VARS), n)
+        assert_same_bytes(got, reference_step(s, f0, p, dt))
+
+    def test_zero_d_inputs(self):
+        s0 = {k: np.array(v) for k, v in state(swe=3.0, soil_water=199.0).items()}
+        f0 = {k: np.array(v) for k, v in forcing(TBOT=274.0, PRECT=2.0, FSDS=500.0).items()}
+        got = step_cells(s0, f0, P, 0.5)
+        assert got[1].shape == (len(HIST_VARS),)
+        assert_same_bytes(got, reference_step(s0, f0, P, 0.5))
+
+    def test_zero_cell_rank(self):
+        empty = np.zeros(0)
+        new, diag = step_cells({k: empty for k in STATE_VARS},
+                               {k: empty for k in FORCING_INPUTS}, P, 1.0)
+        assert diag.shape == (len(HIST_VARS), 0)
+        assert all(new[k].shape == (0,) for k in STATE_VARS)
+
+    @pytest.mark.parametrize("name, cell", [("PRECT", 3), ("FSDS", 4)])
+    def test_nan_forcing_named_by_cell(self, rng, name, cell):
+        n = 6
+        s = {k: np.full(n, v) for k, v in state().items()}
+        f = {"TBOT": rng.uniform(250, 300, n), "PRECT": rng.uniform(0, 5, n),
+             "FSDS": rng.uniform(0, 400, n)}
+        f[name][cell] = np.nan
+        with pytest.raises(ValueError, match=re.escape(f"NaN forcing at cells [{cell}]")):
+            step_cells(s, f, P, 1.0)
 
 
 class TestCaseConfig:
