@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -438,16 +439,16 @@ def write_file(target, model: CdfModel, data: dict, numrecs=None):
 
 
 class _HeaderParser:
-    def __init__(self, fh, variant: str):
+    def __init__(self, fh, variant: str, left: int):
         self.fh = fh
         self.w = _nn_width(variant)
-        self.variant = variant
+        self.left = left  # bytes left in the stream
 
     def read(self, n: int) -> bytes:
-        b = self.fh.read(n)
-        if len(b) != n:
+        if n > self.left:
             raise CdfError("truncated header")
-        return b
+        self.left -= n
+        return self.fh.read(n)
 
     def u32(self) -> int:
         return struct.unpack(">I", self.read(4))[0]
@@ -508,13 +509,16 @@ class CdfFile:
         else:
             self._fh = source
             self._own = False
+        # Offsets in the header count from the start of the stream.
+        self._size = self._fh.seek(0, io.SEEK_END)
+        self._fh.seek(0)
         magic = self._fh.read(4)
         if len(magic) != 4 or magic[:3] != b"CDF":
             raise CdfError("not a NetCDF classic stream (bad magic)")
         variant = _VARIANT_BY_MAGIC.get(magic)
         if variant is None:
             raise CdfError(f"unsupported variant (version byte {magic[3]:#04x})")
-        p = _HeaderParser(self._fh, variant)
+        p = _HeaderParser(self._fh, variant, self._size - 4)
         self.numrecs = p.nonneg()
         model = CdfModel(variant=variant)
         for _ in range(p.list_header(_TAG_DIMENSION)):
@@ -536,6 +540,7 @@ class CdfFile:
                 raise CdfError(f"variable {name}: dimension id out of range") from None
             model.vars.append(Var(name, t, dims, attrs, begin=begin, vsize=vsize))
         self._header_len = self._fh.tell()
+        model.validate()
         for v in model.vars:
             if v.begin < self._header_len:
                 raise CdfError(f"variable {v.name}: begin offset overlaps the header")
@@ -567,6 +572,12 @@ class CdfFile:
                 raise CdfError(f"{name}: slab [{start}, {count}) exceeds shape {shape}")
         itemsize = v.nc_type.size
         record = _is_record(self.model, v)
+        # Before allocating: n blocks (records) of `per` bytes inside the file.
+        n, dims = (shape[0], shape[1:]) if record else (1, shape)
+        per = math.prod(dims) * itemsize
+        end = v.begin + (n - 1) * self._record_size + per if n else 0
+        if end > self._size or per > np.iinfo(np.intp).max:
+            raise CdfError(f"variable {name}: {n} x {per} bytes do not fit the file")
         out = np.empty(count, dtype=np.dtype(v.nc_type.dtype).newbyteorder("="))
         if out.size == 0:
             return out

@@ -15,9 +15,8 @@ import logging
 import os
 import sys
 
-
 from . import __version__, cdf, write_provenance
-from .cdf import CdfError
+
 
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("KILOLAND_OUT") or "."
@@ -411,16 +410,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (CdfError, OSError) as e:
+    except (cdf.CdfError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        if "integrity" in str(e) or "checksum" in str(e):
-            print(f"error: {e}", file=sys.stderr)
-            return 3
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except NotImplementedError as e:
+    except (ValueError, NotImplementedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -352,7 +352,6 @@ def run_scaling_suite(
     worker_counts: list,
     mode: str,
     out_dir: str,
-    check_equivalence: bool = True,
     repeats: int = 1,
 ) -> dict:
     """Run a case across worker counts (strong: fixed case; weak: the case
@@ -362,9 +361,8 @@ def run_scaling_suite(
     With `repeats` > 1 each point is measured several times and the run
     with the smallest land time is kept (the minimum is the least
     contention-disturbed estimate on shared machines). Emits per-component
-    ScalingTables, a CSV, and an SVG speedup chart; every run's outputs
-    are checked bit-identical to the first run's (for strong mode) unless
-    disabled.
+    ScalingTables, a CSV, and an SVG speedup chart; in strong mode every
+    run's outputs are checked bit-identical to the first run's.
     """
     from . import compare as compare_mod
     from . import simulation
@@ -389,7 +387,7 @@ def run_scaling_suite(
         for rep in range(max(repeats, 1)):
             run_dir = os.path.join(out_dir, f"{mode}_w{w}" + (f"_r{rep}" if rep else ""))
             result = simulation.run_case(run_cfg, run_dir)
-            if check_equivalence and mode == "strong":
+            if mode == "strong":
                 if reference is None:
                     reference = result
                 else:

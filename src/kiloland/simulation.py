@@ -36,7 +36,7 @@ from .decomp import (
     DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, build_iodecomp, make_plan, partition, rearrange_write,
 )
 from .domain import read_domain, replicate, write_domain
-from .forcing import ForcingStream, VARIABLES
+from .forcing import STEP_HOURS, ForcingStream, VARIABLES
 from .perf import TimerTree, merge_timers
 
 __all__ = [
@@ -226,12 +226,8 @@ class CaseConfig:
             raise ValueError("n_days must be >= 1")
         if self.dt_hours < 1 or 24 % self.dt_hours != 0:
             raise ValueError("dt_hours must divide 24")
-        if self.history_interval not in ("end_of_run", "daily", "hourly", "none"):
-            raise ValueError(f"bad history_interval {self.history_interval!r}")
-        if self.restart_interval not in ("end_of_run", "none") and not re.fullmatch(
-            r"every:\d+d", self.restart_interval
-        ):
-            raise ValueError(f"bad restart_interval {self.restart_interval!r}")
+        for kind in ("history", "restart"):
+            _event_steps(0, self.steps_per_day, getattr(self, f"{kind}_interval"), kind)
         datetime.date.fromisoformat(self.start)
 
     @property
@@ -359,7 +355,7 @@ def _couple(fields: dict) -> dict:
     Precipitation records are mm per 3-hour bin; the land model consumes a
     rate in mm/h.
     """
-    fields["PRECT"] = fields["PRECT"] / 3.0
+    fields["PRECT"] = fields["PRECT"] / STEP_HOURS
     return fields
 
 
@@ -410,6 +406,7 @@ def _read_rpointer(path: str) -> dict:
 
 
 def _event_steps(total_steps, steps_per_day, interval, kind):
+    """Steps ending a `kind` interval; `CaseConfig` validates through it."""
     if interval == "none":
         return set()
     if interval == "end_of_run":
@@ -419,10 +416,10 @@ def _event_steps(total_steps, steps_per_day, interval, kind):
     if kind == "history" and interval == "hourly":
         return set(range(1, total_steps + 1))
     m = re.fullmatch(r"every:(\d+)d", interval)
-    if kind == "restart" and m:
+    if kind == "restart" and m and int(m.group(1)) >= 1:
         per = int(m.group(1)) * steps_per_day
         return set(range(per, total_steps + 1, per))
-    raise ValueError(f"bad {kind} interval {interval!r}")
+    raise ValueError(f"bad {kind}_interval {interval!r}")
 
 
 def _date_tag(start: str, hours: float) -> str:
@@ -455,17 +452,12 @@ def _source_columns(n_land: int, n_copies: int, file_n: int, what: str) -> np.nd
     )
 
 
-def _read_init_surface(f: cdf.CdfFile, month: int, scols: np.ndarray) -> tuple:
-    """What `init_state` reads of a surface file: PCT_CLAY, FMAX and PCT_PFT,
-    and one month's (pft, gridcell) MONTHLY_LAI, read as one slab. They are
-    gathered through `scols` only when the domain replicates the file."""
+def _read_init_surface(f: cdf.CdfFile, month: int) -> tuple:
+    """What `init_state` reads of a surface file, as stored: PCT_CLAY, FMAX
+    and PCT_PFT, and one month's (pft, gridcell) MONTHLY_LAI as one slab."""
     _, n_pft, n = f.shape("MONTHLY_LAI")
     cols = {name: f.read(name) for name in ("PCT_CLAY", "FMAX", "PCT_PFT")}
-    month_lai = f.read_slab("MONTHLY_LAI", (month - 1, 0, 0), (1, n_pft, n))[0]
-    if scols.size != n:
-        cols = {k: v[..., scols] for k, v in cols.items()}
-        month_lai = month_lai[:, scols]
-    return cols, month_lai
+    return cols, f.read_slab("MONTHLY_LAI", (month - 1, 0, 0), (1, n_pft, n))[0]
 
 
 def _crc(arr: np.ndarray, dtype: str) -> str:
@@ -489,12 +481,14 @@ class _Run:
         cfg = self.cfg
         os.makedirs(self.out_dir, exist_ok=True)
         with self.timers.region("init"):
-            self.domain = read_domain(cfg.domain)
-            self.n_land = self.domain.n_land
+            # The run needs only the domain's header, none of its variables.
+            with cdf.read_file(cfg.domain) as f:
+                a, self.n_land = f.model.gattrs, f.model.dim("gridcell").length
+                self.id_space, self.n_copies = int(a["id_space"]), int(a["n_copies"])
             self.forcing_paths = _forcing_paths(cfg.forcing_dir)
             with cdf.read_file(self.forcing_paths[0]) as f:
                 file_n = f.model.dim("gridcell").length
-            columns = _source_columns(self.n_land, self.domain.n_copies, file_n, "forcing")
+            columns = _source_columns(self.n_land, self.n_copies, file_n, "forcing")
             self.part = partition(
                 self.n_land, cfg.lnd_workers, cfg.partition_scheme, cfg.block_size
             )
@@ -506,8 +500,7 @@ class _Run:
             # A resumed run reads no surface data, but still checks its cells.
             with cdf.read_file(cfg.surface) as f:
                 scols = _source_columns(
-                    self.n_land, self.domain.n_copies, f.model.dim("gridcell").length,
-                    "surface",
+                    self.n_land, self.n_copies, f.model.dim("gridcell").length, "surface"
                 )
                 if resume_entries is None:
                     run = self._fresh_state(f, scols)
@@ -533,53 +526,58 @@ class _Run:
             ]
             # Forcing must cover the whole run.
             with cdf.read_file(self.forcing_paths[-1]) as f:
-                t_last = f.read("time")[-1]
+                t_end = f.read("time")[-1] + STEP_HOURS
             end_hours = self.total_steps * cfg.dt_hours
-            if end_hours > t_last + 3.0:
+            if end_hours > t_end:
                 raise ValueError(
-                    f"forcing coverage gap: run needs {end_hours}h, files end at "
-                    f"{t_last + 3.0}h"
+                    f"forcing coverage gap: run needs {end_hours}h, files end at {t_end}h"
                 )
 
     def _fresh_state(self, surface: cdf.CdfFile, scols: np.ndarray) -> _RunState:
         cfg = self.cfg
         month = datetime.date.fromisoformat(cfg.start).month
-        surf_cols, month_lai = _read_init_surface(surface, month, scols)
+        surf_cols, month_lai = _read_init_surface(surface, month)
+        # A cell's initial state depends only on its own surface column, so
+        # the file's cells are initialised once and copied out to the domain.
+        state = init_state(surf_cols, cfg.params, month_lai)
         return _RunState(
             start_step=0,
             count=0,
             window_start_hours=0.0,
             total_days=cfg.n_days,
-            state=init_state(surf_cols, cfg.params, month_lai),
+            state={k: v.take(scols) for k, v in state.items()},
             sums=np.zeros((len(HIST_VARS), self.n_land)),
             bundle=None,
         )
 
     def _load_restart(self, entries, extra_days) -> _RunState:
+        """The bundle's run state; a missing field or a bad checksum is a CdfError."""
         cfg = self.cfg
         rdir = entries["dir"]
-        with cdf.read_file(os.path.join(rdir, entries["elm_r"])) as f:
-            a = f.model.gattrs
-            if a["fingerprint"] != cfg.fingerprint():
-                raise ValueError("restart bundle comes from a different parameter set")
-            if int(a["n_land"]) != self.n_land:
-                raise ValueError("restart bundle does not match the domain")
-            def verified(name):
-                arr = f.read(name)
-                want = f.model.var(name).attrs["checksum"]
-                if _crc(arr, ">f8") != want:
-                    raise ValueError(f"restart integrity: checksum mismatch on {name}")
-                return arr
+        try:
+            with cdf.read_file(os.path.join(rdir, entries["elm_r"])) as f:
+                a = f.model.gattrs
+                if a["fingerprint"] != cfg.fingerprint():
+                    raise ValueError("restart bundle comes from a different parameter set")
+                if int(a["n_land"]) != self.n_land:
+                    raise ValueError("restart bundle does not match the domain")
+                def verified(name):
+                    arr = f.read(name)
+                    if _crc(arr, ">f8") != f.model.var(name).attrs["checksum"]:
+                        raise cdf.CdfError(f"restart integrity: checksum mismatch on {name}")
+                    return arr
 
-            state = {name: verified(name) for name in STATE_VARS}
-            sums = np.stack([verified(f"hsum_{v}") for v in HIST_VARS])
-            count = int(a["hist_count"])
-        with cdf.read_file(os.path.join(rdir, entries["datm_r"])) as f:
-            start_step = int(f.read("next_step"))
-        with cdf.read_file(os.path.join(rdir, entries["rh0"])) as f:
-            window_start_hours = float(f.read("window_start_hours"))
-        with cdf.read_file(os.path.join(rdir, entries["cpl_r"])) as f:
-            bundle = {name: f.read(f"x2l_{name}") for name in VARIABLES}
+                state = {name: verified(name) for name in STATE_VARS}
+                sums = np.stack([verified(f"hsum_{v}") for v in HIST_VARS])
+                count = int(a["hist_count"])
+            with cdf.read_file(os.path.join(rdir, entries["datm_r"])) as f:
+                start_step = int(f.read("next_step"))
+            with cdf.read_file(os.path.join(rdir, entries["rh0"])) as f:
+                window_start_hours = float(f.read("window_start_hours"))
+            with cdf.read_file(os.path.join(rdir, entries["cpl_r"])) as f:
+                bundle = {name: f.read(f"x2l_{name}") for name in VARIABLES}
+        except KeyError as e:
+            raise cdf.CdfError(f"restart bundle in {rdir} lacks {e}") from None
         done_days = start_step // cfg.steps_per_day
         return _RunState(
             start_step=start_step,
@@ -666,8 +664,8 @@ class _Run:
             "start": cfg.start,
             "dt_hours": cfg.dt_hours,
             "n_land": self.n_land,
-            "id_space": self.domain.id_space,
-            "n_copies": self.domain.n_copies,
+            "id_space": self.id_space,
+            "n_copies": self.n_copies,
             "sim_hours": float(step * cfg.dt_hours),
         }
 

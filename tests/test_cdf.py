@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kiloland.cdf import (
     CDF2,
@@ -306,6 +308,40 @@ class TestErrors:
         model.variant = CDF5
         assert compute_size(model).fixed_bytes == 4_800_000_000
 
+    def test_name_length_past_end_of_file(self):
+        blob = bytearray(golden_one_var_cdf5())
+        blob[24:32] = struct.pack(">Q", 2**63)  # the dimension's name length
+        with pytest.raises(CdfError, match="truncated"):
+            read_file(bytes(blob))
+
+    def test_char_variable_rejected_at_parse(self):
+        blob = bytearray(golden_one_var_cdf5())
+        blob[108:112] = struct.pack(">i", 2)  # the var's nc_type field -> NC_CHAR
+        with pytest.raises(CdfError, match="attribute-text only"):
+            read_file(bytes(blob))
+
+    @pytest.mark.parametrize("field, value", [
+        (slice(36, 44), 2**40),  # dimension length: 8 TiB of doubles
+        (slice(120, 128), 2**40),  # begin: past the end of the file
+    ], ids=["length", "begin"])
+    def test_data_past_end_of_file(self, field, value):
+        blob = bytearray(golden_one_var_cdf5())
+        blob[field] = struct.pack(">q", value)
+        with read_file(bytes(blob)) as f:
+            with pytest.raises(CdfError, match="do not fit"):
+                f.read("v")
+
+    def test_empty_record_var_too_large_to_index(self):
+        # No record is stored, but numpy cannot shape (0, 2**62) doubles.
+        model = CdfModel(variant=CDF5, dims=[Dim("t", 0, True), Dim("n", 3)])
+        model.vars.append(Var("r", NcType.FLOAT64, ("t", "n")))
+        blob = bytearray(write_file(None, model, {"r": np.zeros((0, 3))}, numrecs=0))
+        at = blob.index(b"n\x00\x00\x00") + 4  # the length of dimension n
+        blob[at:at + 8] = struct.pack(">q", 2**62)
+        with read_file(bytes(blob)) as f:
+            with pytest.raises(CdfError, match="do not fit"):
+                f.read("r")
+
     def test_cdf2_numrecs_limit(self):
         model = CdfModel(variant=CDF2, dims=[Dim("t", 0, True)])
         model.vars.append(Var("v", NcType.FLOAT32, ("t",)))
@@ -395,3 +431,50 @@ class TestDump:
             "global attributes:\n"
             '  :title = "t"\n'
         )
+
+
+def fuzz_target(variant):
+    """A small file with fixed, record and scalar variables and text, integer
+    and float attributes, and the length of its header."""
+    model = CdfModel(
+        variant=variant,
+        dims=[Dim("time", 0, True), Dim("n", 3), Dim("nv", 2)],
+        gattrs={"title": "fuzz", "k": 7, "pair": np.array([1.0, 2.0])},
+        vars=[
+            Var("x", NcType.FLOAT64, ("n",), {"units": "m", "scale": 2.5}),
+            Var("ids", NcType.INT32, ("nv", "n"), {"flag": np.array([1, 2], np.int32)}),
+            Var("t", NcType.FLOAT32, ("time", "n"), {"long_name": "temp"}),
+            Var("s", NcType.INT32, ()),
+        ],
+    )
+    data = {
+        "x": np.arange(3.0),
+        "ids": np.arange(6, dtype=np.int32).reshape(2, 3),
+        "t": np.ones((2, 3), np.float32),
+        "s": np.int32(4),
+    }
+    return write_file(None, model, data), compute_size(model, 2).header_bytes
+
+
+FUZZ_TARGETS = {variant: fuzz_target(variant) for variant in (CDF2, CDF5)}
+
+
+class TestHeaderFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        variant=st.sampled_from([CDF2, CDF5]),
+        edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)),
+                       min_size=1, max_size=3),
+    )
+    def test_mutated_header_raises_only_cdf_error(self, variant, edits):
+        blob, header_len = FUZZ_TARGETS[variant]
+        blob = bytearray(blob)
+        for pos, byte in edits:
+            blob[pos % header_len] = byte
+        try:
+            with read_file(bytes(blob)) as f:
+                dump_header(f)
+                for v in f.model.vars:
+                    f.read(v.name)
+        except CdfError:
+            pass

@@ -166,6 +166,27 @@ class TestRunAndCompare:
         assert run_cli("resume", "--case", cfg, "--extra-days", "1", "--out", out) == 0
         assert os.path.exists(os.path.join(out, "cli.elm.h0.2014-01-04-00000.nc"))
 
+    @pytest.mark.parametrize("drop", ["checksum", "variable"])
+    def test_resume_from_incomplete_restart_is_integrity_error(self, pipeline, capsys, drop):
+        root, cfg, tmp_path = pipeline
+        out = str(tmp_path / "r")
+        assert run_cli("run", "--case", cfg, "--out", out) == 0
+        elm_r = os.path.join(out, "cli.elm.r.2014-01-03-00000.nc")
+        with cdf.read_file(elm_r) as f:
+            model = f.model
+            data = {v.name: f.read(v.name) for v in model.vars}
+        if drop == "checksum":
+            del model.var("soil_water").attrs["checksum"]
+        else:
+            model.vars.remove(model.var("soil_water"))
+            del data["soil_water"]
+        with open(elm_r, "wb") as fh:
+            cdf.write_file(fh, model, data)
+        capsys.readouterr()
+        assert run_cli("resume", "--case", cfg, "--extra-days", "1", "--out", out) == 3
+        want = "checksum" if drop == "checksum" else "soil_water"
+        assert f"lacks '{want}'" in capsys.readouterr().err
+
     def test_replication_check_via_cli(self, pipeline, capsys):
         root, cfg, tmp_path = pipeline
         out1 = str(tmp_path / "base")

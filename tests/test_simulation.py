@@ -350,8 +350,16 @@ class TestCaseConfig:
             CaseConfig(n_days=0)
 
     def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError, match="history_interval"):
-            CaseConfig(history_interval="weekly")
+        # Each grammar takes only its own forms, and every:<n>d needs n >= 1.
+        for key, value in [
+            ("history_interval", "weekly"),
+            ("history_interval", "every:1d"),
+            ("restart_interval", "daily"),
+            ("restart_interval", "every:0d"),
+            ("restart_interval", "every:-1d"),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                CaseConfig(**{key: value})
 
     def test_fingerprint_ignores_execution_layout(self):
         a = CaseConfig()
@@ -552,7 +560,7 @@ class TestRunCase:
                 assert bundle[name].tobytes() == want[name].tobytes(), (hi, name)
 
     def test_setup_reads_only_what_init_state_uses(self, mini_inputs, tmp_path, monkeypatch):
-        surface_reads = record_surface_reads(monkeypatch)
+        surface_reads = record_slab_reads(monkeypatch)
         cfg = make_case_config(mini_inputs, n_days=1, start="2014-03-01")
         run_case(cfg, str(tmp_path / "s"))
         assert sorted(surface_reads) == [
@@ -671,13 +679,14 @@ variables:
 }
 
 
-def record_surface_reads(monkeypatch) -> list:
-    """(variable, start, count) of every slab read from a surface file."""
+def record_slab_reads(monkeypatch, title="kiloland surface properties") -> list:
+    """(variable, start, count) of every slab read from a file with this
+    title attribute (a surface file by default)."""
     reads = []
     read_slab = cdf.CdfFile.read_slab
 
     def recording(self, name, start, count):
-        if self.model.gattrs.get("title") == "kiloland surface properties":
+        if self.model.gattrs.get("title") == title:
             reads.append((name, tuple(start), tuple(count)))
         return read_slab(self, name, start, count)
 
@@ -701,6 +710,20 @@ class TestReplication:
             10,
         )
         assert report.verdict == "identical"
+
+    def test_replicated_setup_reads_at_source_size(self, mini_inputs, tmp_path, monkeypatch):
+        cfg3 = replicate_case(make_case_config(mini_inputs, n_days=1), 3, str(tmp_path / "in3"))
+        domain_reads = record_slab_reads(monkeypatch, title="kiloland domain")
+        surface_reads = record_slab_reads(monkeypatch)
+        res = run_case(cfg3, str(tmp_path / "x3"))
+        assert res.n_land == 3 * 613
+        assert domain_reads == []
+        assert sorted(surface_reads) == [
+            ("FMAX", (0,), (613,)),
+            ("MONTHLY_LAI", (0, 0, 0), (1, N_PFTS, 613)),
+            ("PCT_CLAY", (0, 0), (SOIL_LAYERS, 613)),
+            ("PCT_PFT", (0, 0), (N_PFTS, 613)),
+        ]
 
     def test_replicated_case_workers_invariant(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs)
@@ -799,7 +822,7 @@ class TestRestart:
     def test_resume_reads_no_surface_data(self, mini_inputs, tmp_path, monkeypatch):
         cfg = make_case_config(mini_inputs, n_days=2)
         run_case(cfg, str(tmp_path / "r"))
-        surface_reads = record_surface_reads(monkeypatch)
+        surface_reads = record_slab_reads(monkeypatch)
         resume_case(cfg, str(tmp_path / "r"), extra_days=1)
         assert surface_reads == []
 
