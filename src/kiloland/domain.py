@@ -28,6 +28,7 @@ __all__ = [
     "compact",
     "expand",
     "read_domain",
+    "read_domain_header",
     "replicate",
     "subset",
     "synth_mask",
@@ -433,8 +434,25 @@ def write_domain(d: DomainSpec, path: str, variant: str = cdf.CDF5) -> None:
         cdf.write_file(fh, model, data)
 
 
+def _header(f: cdf.CdfFile, path: str) -> tuple:
+    """(n_land, id_space, n_copies) of an open domain file; a missing
+    `gridcell` dimension or attribute is a CdfError."""
+    try:
+        a = f.model.gattrs
+        return f.model.dim("gridcell").length, int(a["id_space"]), int(a["n_copies"])
+    except KeyError as e:
+        raise cdf.CdfError(f"domain {path} lacks {e}") from None
+
+
+def read_domain_header(path: str) -> tuple:
+    """(n_land, id_space, n_copies) from a domain file's header alone."""
+    with cdf.read_file(path) as f:
+        return _header(f, path)
+
+
 def read_domain(path: str) -> DomainSpec:
     with cdf.read_file(path) as f:
+        _, id_space, n_copies = _header(f, path)
         a = f.model.gattrs
         grid = Grid2D(
             n_rows=f.model.dim("nj").length,
@@ -448,8 +466,8 @@ def read_domain(path: str) -> DomainSpec:
             grid,
             f.read("mask"),
             gridcell_id=f.read("gridcell_id"),
-            id_space=int(a["id_space"]),
-            n_copies=int(a["n_copies"]),
+            id_space=id_space,
+            n_copies=n_copies,
         )
         d._set_coords(f.read("xc"), f.read("yc"), f.read("xv"), f.read("yv"))
     return d

@@ -10,6 +10,15 @@ copy->source mapping, which makes a replicated run's output exactly k
 copies of the base output. Output files carry no wall-clock metadata, so
 equal runs produce byte-equal files.
 
+A multi-worker run forks one process per land rank that lives for the
+whole run. Each rank's state, history sums and coupler bundle sit in
+anonymous shared memory, so a segment sends a worker only its step range,
+and the coordinator writes history and restarts from the shared arrays;
+each segment opens one windowed forcing stream per rank. An exception in a
+worker is raised again in the caller with its type and message; a worker
+that dies raises `ChildProcessError` (an `OSError`: CLI exit code 3).
+Every worker is terminated and joined before the run returns or raises.
+
 The land physics is a deliberately small five-pool column model (snow,
 soil water, soil temperature, leaf and soil carbon) chosen to be linear in
 the carbon pools and conservative in water, so the computational claims
@@ -22,20 +31,21 @@ from __future__ import annotations
 import datetime
 import glob
 import hashlib
+import mmap
+import multiprocessing
 import os
 import re
+import traceback
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
-import multiprocessing
 import numpy as np
 
 from . import cdf, write_provenance
 from .decomp import (
     DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, build_iodecomp, make_plan, partition, rearrange_write,
 )
-from .domain import read_domain, replicate, write_domain
+from .domain import read_domain, read_domain_header, replicate, write_domain
 from .forcing import STEP_HOURS, ForcingStream, VARIABLES
 from .perf import TimerTree, merge_timers
 
@@ -382,6 +392,119 @@ def _run_worker_segment(task: _WorkerTask) -> _Rank:
     return rank
 
 
+def _shared(arrays: dict) -> dict:
+    """Copies of `arrays` in one anonymous shared mapping, which processes
+    forked after this call read and write in place."""
+    buf = mmap.mmap(-1, max(sum(a.nbytes for a in arrays.values()), 1))
+    out, offset = {}, 0
+    for k, a in arrays.items():
+        out[k] = np.frombuffer(buf, a.dtype, a.size, offset).reshape(a.shape)
+        out[k][...] = a
+        offset += a.nbytes
+    return out
+
+
+def _serve_rank(conn, rank: _Rank, dt_hours: float, params: ToyParams, forcing_paths: list):
+    """A rank worker's loop. For each (lo, hi) the coordinator sends, step
+    the rank through `_run_worker_segment`, copy its new state and bundle
+    into the rank's shared arrays and reply None, or (exception, its
+    traceback) if one was raised. On None, reply with the rank's timers and
+    return."""
+    state, bundle = rank.state, rank.bundle
+    while (segment := conn.recv()) is not None:
+        try:
+            out = _run_worker_segment(_WorkerTask(*segment, dt_hours, params, forcing_paths, rank))
+            for shared, new in ((state, out.state), (bundle, out.bundle)):
+                for k, v in shared.items():
+                    v[...] = new[k]
+            reply = None
+        except Exception as e:
+            reply = (e, "".join(traceback.format_exception(e)))
+        rank.state, rank.bundle = state, bundle
+        conn.send(reply)
+    conn.send(rank.timers)
+
+
+class _RemoteTraceback(Exception):
+    """A rank worker's traceback, chained as the cause of its exception."""
+
+
+class _RankWorkers:
+    """One forked process per land rank, alive for the whole run.
+
+    Each rank's state, history sums and coupler bundle move into shared
+    memory before the fork, so the coordinator sends a worker only a
+    segment's (lo, hi) and reads, resets and writes the rank's arrays in
+    place between segments; no rank is pickled. A worker's exception is
+    raised again here with its type and message; a worker that dies raises
+    `ChildProcessError` naming the rank and its exit code."""
+
+    def __init__(self, ranks: list, dt_hours: float, params: ToyParams, forcing_paths: list):
+        ctx = multiprocessing.get_context("fork")
+        self.ranks, self.procs, self.conns = ranks, [], []
+        try:
+            for rank in ranks:
+                rank.state = _shared(rank.state)
+                rank.sums = _shared({"sums": rank.sums})["sums"]
+                # A fresh run's bundle is filled in by the first segment.
+                n = rank.sums.shape[1]
+                rank.bundle = _shared(rank.bundle or {k: np.zeros(n) for k in VARIABLES})
+                conn, child = ctx.Pipe()
+                proc = ctx.Process(target=_serve_rank,
+                                   args=(child, rank, dt_hours, params, forcing_paths))
+                proc.start()
+                child.close()
+                self.procs.append(proc)
+                self.conns.append(conn)
+        except BaseException:
+            self.close()
+            raise
+
+    def _ask(self, message) -> list:
+        """Send `message` to every worker and return their replies in rank order."""
+        for r, conn in enumerate(self.conns):
+            try:
+                conn.send(message)
+            except OSError:
+                self._died(r)
+        replies = []
+        for r, conn in enumerate(self.conns):
+            try:
+                reply = conn.recv()
+            except (EOFError, OSError):
+                self._died(r)
+            if isinstance(reply, tuple):
+                exc, text = reply
+                raise exc from _RemoteTraceback(text)
+            replies.append(reply)
+        return replies
+
+    def _died(self, r: int):
+        proc = self.procs[r]
+        proc.join()
+        raise ChildProcessError(f"land rank {r} worker exited with code {proc.exitcode}")
+
+    def run_segment(self, lo: int, hi: int):
+        self._ask((lo, hi))
+
+    def finish(self):
+        """Take back each rank's timers; the workers then exit."""
+        for rank, timers in zip(self.ranks, self._ask(None)):
+            rank.timers = timers
+        for proc in self.procs:
+            proc.join()
+
+    def close(self):
+        """Terminate any worker still running and join them all."""
+        for proc in self.procs:
+            proc.terminate()
+        for proc in self.procs:
+            proc.join()
+        for conn in self.conns:
+            conn.close()
+        self.procs, self.conns = [], []
+
+
 @dataclass
 class RunResult:
     out_dir: str
@@ -482,9 +605,7 @@ class _Run:
         os.makedirs(self.out_dir, exist_ok=True)
         with self.timers.region("init"):
             # The run needs only the domain's header, none of its variables.
-            with cdf.read_file(cfg.domain) as f:
-                a, self.n_land = f.model.gattrs, f.model.dim("gridcell").length
-                self.id_space, self.n_copies = int(a["id_space"]), int(a["n_copies"])
+            self.n_land, self.id_space, self.n_copies = read_domain_header(cfg.domain)
             self.forcing_paths = _forcing_paths(cfg.forcing_dir)
             with cdf.read_file(self.forcing_paths[0]) as f:
                 file_n = f.model.dim("gridcell").length
@@ -603,26 +724,25 @@ class _Run:
             {self.start_step, self.total_steps}
             | {s for s in hist_events | rest_events if s > self.start_step}
         )
-        pool = None
-        if cfg.lnd_workers > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=cfg.lnd_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
         # A zero-step resume runs one empty segment, which rewrites the
         # bundle (and any history still accumulating) identically.
         segments = list(zip(boundaries[:-1], boundaries[1:])) or [(self.total_steps,) * 2]
+        workers = None
+        if cfg.lnd_workers > 1:
+            workers = _RankWorkers(self.ranks, cfg.dt_hours, cfg.params, self.forcing_paths)
         try:
             for lo, hi in segments:
                 if hi > lo:
-                    self._run_segment(lo, hi, pool)
+                    self._run_segment(lo, hi, workers)
                 if hi in hist_events and self.count > 0:
                     self._flush_history(hi, reset=cfg.history_interval != "end_of_run")
                 if hi in rest_events:
                     self._write_restart(hi)
+            if workers is not None:
+                workers.finish()
         finally:
-            if pool is not None:
-                pool.shutdown()
+            if workers is not None:
+                workers.close()
         merged = merge_timers([r.timers for r in self.ranks]).children
         component_seconds = {}
         for region in ("atm", "cpl", "lnd"):
@@ -643,14 +763,17 @@ class _Run:
             write_stats=self.write_stats,
         )
 
-    def _run_segment(self, lo, hi, pool):
+    def _run_segment(self, lo, hi, workers):
         cfg = self.cfg
-        tasks = [
-            _WorkerTask(lo, hi, cfg.dt_hours, cfg.params, self.forcing_paths, rank)
-            for rank in self.ranks
-        ]
-        dispatch = map if pool is None else pool.map
-        self.ranks = list(dispatch(_run_worker_segment, tasks))
+        if workers is None:
+            self.ranks = [
+                _run_worker_segment(
+                    _WorkerTask(lo, hi, cfg.dt_hours, cfg.params, self.forcing_paths, rank)
+                )
+                for rank in self.ranks
+            ]
+        else:
+            workers.run_segment(lo, hi)
         self.count += hi - lo
 
     # -- output --------------------------------------------------------------
@@ -773,6 +896,9 @@ class _Run:
     def _write_provenance(self):
         cfg = self.cfg
         config = {k: getattr(cfg, a) for k, a in cfg._KEYMAP.items()}
+        # Inputs by base name, so equal runs from copies of them hash alike.
+        for key in ("case.domain", "case.forcing_dir", "case.surface"):
+            config[key] = os.path.basename(os.path.normpath(config[key]))
         write_provenance(self.out_dir, cfg.name, config, cfg.seed, cfg.fingerprint())
 
 

@@ -187,6 +187,29 @@ class TestRunAndCompare:
         want = "checksum" if drop == "checksum" else "soil_water"
         assert f"lacks '{want}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drop", ["n_copies", "id_space", "gridcell"])
+    def test_domain_without_header_field_is_integrity_error(self, pipeline, capsys, drop):
+        root, cfg, tmp_path = pipeline
+        path = os.path.join(root, "domain.nc")
+        with cdf.read_file(path) as f:
+            model = f.model
+            data = {v.name: f.read(v.name) for v in model.vars}
+        if drop == "gridcell":
+            model.dim("gridcell").name = "cell"
+            for v in model.vars:
+                v.dims = tuple("cell" if d == "gridcell" else d for d in v.dims)
+        else:
+            del model.gattrs[drop]
+        with open(path, "wb") as fh:
+            cdf.write_file(fh, model, data)
+        capsys.readouterr()
+        assert run_cli("run", "--case", cfg, "--out", str(tmp_path / "r")) == 3
+        assert f"lacks '{drop}'" in capsys.readouterr().err
+        # The data commands read the domain through `read_domain`.
+        assert run_cli("replicate", "--domain", path, "--factor", "2",
+                       "--out", str(tmp_path / "x")) == 3
+        assert f"lacks '{drop}'" in capsys.readouterr().err
+
     def test_replication_check_via_cli(self, pipeline, capsys):
         root, cfg, tmp_path = pipeline
         out1 = str(tmp_path / "base")

@@ -694,6 +694,68 @@ def record_slab_reads(monkeypatch, title="kiloland surface properties") -> list:
     return reads
 
 
+def output_bytes(out_dir) -> dict:
+    """Name -> bytes of a run's history, restart and rpointer files."""
+    return {
+        name: open(os.path.join(out_dir, name), "rb").read()
+        for name in sorted(os.listdir(out_dir))
+        if name.endswith(".nc") or name.startswith("rpointer.")
+    }
+
+
+class TestRankWorkers:
+    def test_no_rank_is_pickled(self, mini_inputs, tmp_path, monkeypatch):
+        from kiloland import simulation
+
+        def refuse(self, protocol):
+            raise AssertionError("a rank was pickled")
+
+        monkeypatch.setattr(simulation._Rank, "__reduce_ex__", refuse)
+        cfg = make_case_config(mini_inputs, history_interval="daily",
+                               restart_interval="every:2d", n_days=4)
+        run_case(cfg, str(tmp_path / "w1"))
+        run_case(replace(cfg, lnd_workers=2), str(tmp_path / "w2"))
+        one, two = output_bytes(tmp_path / "w1"), output_bytes(tmp_path / "w2")
+        assert len(one) == 4 + 2 * 4 + 1  # history, two restart bundles, rpointer
+        assert one == two
+
+    def test_dead_worker_is_child_process_error(self, mini_inputs, tmp_path, monkeypatch):
+        import multiprocessing
+
+        from kiloland import simulation
+
+        monkeypatch.setattr(simulation, "_run_worker_segment", lambda task: os._exit(1))
+        cfg = make_case_config(mini_inputs, lnd_workers=2)
+        with pytest.raises(ChildProcessError, match="land rank 0 worker exited with code 1"):
+            run_case(cfg, str(tmp_path / "dead"))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_keeps_its_type(self, mini_inputs, tmp_path, monkeypatch):
+        import multiprocessing
+
+        from kiloland import simulation
+
+        def boom(task):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(simulation, "_run_worker_segment", boom)
+        cfg = make_case_config(mini_inputs, lnd_workers=2)
+        with pytest.raises(ValueError, match="^boom$"):
+            run_case(cfg, str(tmp_path / "boom"))
+        assert multiprocessing.active_children() == []
+
+    def test_provenance_independent_of_input_location(self, mini_inputs, tmp_path):
+        import shutil
+
+        texts = []
+        for copy in ("a", "b"):
+            root = shutil.copytree(mini_inputs, tmp_path / copy / "inputs")
+            cfg = make_case_config(root, n_days=1)
+            run_case(cfg, str(tmp_path / copy / "out"))
+            texts.append((tmp_path / copy / "out" / "mini.provenance.txt").read_bytes())
+        assert texts[0] == texts[1]
+
+
 class TestReplication:
     def test_x10_outputs_are_ten_copies(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs)
