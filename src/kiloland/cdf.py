@@ -334,6 +334,8 @@ def compute_size(model: CdfModel, numrecs: int = 0) -> SizeAccounting:
 class CdfWriter:
     """Streaming writer: header up front, data by full array or by element
     range, with an exactness check that every element was written once.
+    `target` is an open, seekable binary file; close() flushes it and
+    leaves it open.
 
     Byte ranges of distinct variables/records are disjoint, so concurrent
     producers may be serialized through one writer in any order.
@@ -349,8 +351,7 @@ class CdfWriter:
             v.name: _per_slab_elems(model, v) * (numrecs if _is_record(model, v) else 1)
             for v in model.vars
         }
-        self._own = isinstance(target, (str, bytes))
-        self._fh = open(target, "wb") if self._own else target
+        self._fh = target
         self._fh.write(_build_header(model, numrecs))
         total = self.accounting.total_bytes
         self._fh.truncate(total)
@@ -403,25 +404,14 @@ class CdfWriter:
             )
             raise CdfError(f"incomplete write ({detail}); every element is required")
         self._fh.flush()
-        if self._own:
-            self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.close()
-        elif self._own:
-            self._fh.close()
 
 
 def write_file(target, model: CdfModel, data: dict, numrecs=None):
     """One-shot serial write of a whole file.
 
     `data` maps every variable name to a full array (record variables carry
-    the record dimension first). When `target` is None the encoded bytes
-    are returned instead of written to disk.
+    the record dimension first). `target` is an open binary file; when it
+    is None the encoded bytes are returned instead.
     """
     rec_vars = [v for v in model.vars if v.dims and model.dim(v.dims[0]).unlimited]
     if numrecs is None:

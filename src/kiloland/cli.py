@@ -165,22 +165,13 @@ def cmd_resume(args) -> int:
     return 0
 
 
-def _parse_tol(text: str):
-    if text == "bit_exact":
-        return "bit_exact"
-    kind, _, eps = text.partition(":")
-    if kind in ("abs", "rel") and eps:
-        return (kind, float(eps))
-    raise ValueError(f"bad tolerance {text!r}: use bit_exact, abs:<eps> or rel:<eps>")
-
-
 def cmd_compare(args) -> int:
     from .compare import check_replication, compare_files
 
     if args.replication > 1:
         report = check_replication(args.file_a, args.file_b, args.replication)
     else:
-        report = compare_files(args.file_a, args.file_b, tol=_parse_tol(args.tol))
+        report = compare_files(args.file_a, args.file_b, tol=args.tol)
     print(report.summary())
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -235,7 +226,7 @@ def cmd_report(args) -> int:
     rows = {}
     with open(args.csv) as fh:
         header = None
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -243,19 +234,29 @@ def cmd_report(args) -> int:
                 header = line.split(",")
                 continue
             parts = line.split(",")
-            rec = dict(zip(header, parts))
-            if rec["phase"] != "run":
-                continue
-            rows.setdefault(rec["component"], []).append(
-                ScalingRecord(
-                    case=rec["case"],
-                    component=rec["component"],
-                    n_cores=int(rec["cores"]),
-                    init_seconds=0.0,
-                    run_seconds=float(rec["seconds"]),
-                    sim_days=5,
+            rec = dict(zip(header, parts)) if header and len(header) == len(parts) else {}
+            try:
+                if rec["phase"] != "run":
+                    continue
+                seconds = float(rec["seconds"])
+                if not seconds > 0:
+                    raise ValueError(f"run seconds {rec['seconds']} are not positive")
+                rows.setdefault(rec["component"], []).append(
+                    ScalingRecord(
+                        case=rec["case"],
+                        component=rec["component"],
+                        n_cores=int(rec["cores"]),
+                        init_seconds=0.0,
+                        run_seconds=seconds,
+                        sim_days=5,
+                    )
                 )
-            )
+            except KeyError:
+                raise ValueError(
+                    f"{args.csv} line {lineno}: row does not match a 'case,...' header line"
+                ) from None
+            except ValueError as e:
+                raise ValueError(f"{args.csv} line {lineno}: {e}") from None
     if not rows:
         raise ValueError(f"no run rows found in {args.csv}")
     for comp, recs in rows.items():
@@ -349,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="element-wise comparison of two files")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--tol", default="bit_exact", help="bit_exact | abs:<eps> | rel:<eps>")
+    p.add_argument("--tol", default="bit_exact",
+                   help="bit_exact | abs:<eps> | rel:<eps>, eps >= 0")
     p.add_argument("--replication", type=int, default=1,
                    help="check file_b as k bit-exact copies of file_a (--tol ignored)")
     p.add_argument("--csv", default=None, help="write per-variable CSV here")

@@ -1,8 +1,9 @@
 """Output validation: element-wise comparison of two files, variable
 presence diffing, and replication-equivalence checking.
 
-Comparisons stream hyperslabs of at most 64 MiB so arbitrarily large files
-never need a full in-memory load. Bit-exact mode compares raw bit
+Comparisons stream row slabs of at most 64 MiB so arbitrarily large files
+never need a full in-memory load; a replication check is the same
+comparison run over the replica's k copies. Bit-exact mode compares raw bit
 patterns (equal-bit NaNs compare equal); tolerance modes flag NaN-ness
 mismatches and measure |a-b| against an absolute or relative epsilon with
 denominator max(|a|, |b|, 1e-30).
@@ -10,6 +11,7 @@ denominator max(|a|, |b|, 1e-30).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +27,6 @@ __all__ = [
 ]
 
 SLAB_BYTES = 64 * 2**20
-
-_BIT_VIEW = {1: np.uint8, 4: np.uint32, 8: np.uint64}
 
 
 @dataclass
@@ -82,166 +82,154 @@ class CompareReport:
 def _parse_tol(tol):
     if tol == "bit_exact":
         return ("bit", 0.0)
-    if isinstance(tol, (tuple, list)) and len(tol) == 2 and tol[0] in ("abs", "rel"):
-        return (tol[0], float(tol[1]))
-    raise ValueError("tol must be 'bit_exact', ('abs', eps) or ('rel', eps)")
+    if isinstance(tol, str):
+        kind, _, eps = tol.partition(":")
+    elif isinstance(tol, (tuple, list)) and len(tol) == 2:
+        kind, eps = tol
+    else:
+        kind = eps = None
+    try:
+        eps = float(eps)
+    except (TypeError, ValueError):
+        eps = float("nan")
+    if kind in ("abs", "rel") and eps >= 0:  # rejects NaN too
+        return (kind, eps)
+    raise ValueError(
+        f"tol must be 'bit_exact', 'abs:<eps>', 'rel:<eps>' or ('abs'|'rel', eps) "
+        f"with eps >= 0, not {tol!r}"
+    )
 
 
-def _slab_rows(shape, itemsize):
+def _row_slabs(shape, itemsize):
+    """(start, count) of consecutive first-axis slabs of at most SLAB_BYTES."""
     if not shape:
-        return 1
-    per_row = int(np.prod(shape[1:], dtype=np.int64)) * itemsize
-    return max(1, SLAB_BYTES // max(per_row, 1))
+        yield (), ()
+        return
+    rows = max(1, SLAB_BYTES // max(math.prod(shape[1:]) * itemsize, 1))
+    for r0 in range(0, shape[0], rows):
+        yield (r0,) + (0,) * (len(shape) - 1), (min(rows, shape[0] - r0),) + shape[1:]
 
 
-def _compare_var(fa, fb, name, mode, eps, diff: VarDiff):
-    shape_a = fa.shape(name)
-    shape_b = fb.shape(name)
-    if shape_a != shape_b:
+def _compare_var(fa, fb, name, mode, eps, copies=None) -> VarDiff:
+    """Compare variable `name` of fa with fb, slab by slab.
+
+    With `copies` = k, fb holds k copies of fa's variable side by side along
+    the innermost axis: copy j is read at offset j*n there, n being fa's
+    innermost length. The first difference is then the first in copy order
+    (first_diff_copy), located by its index along fb's innermost axis.
+    """
+    diff = VarDiff()
+    shape = fa.shape(name)
+    k = copies or 1
+    n = shape[-1] if shape else 1
+    if fb.shape(name) != (shape[:-1] + (n * k,) if shape else shape):
         diff.shape_mismatch = True
-        return
-    n = int(np.prod(shape_a, dtype=np.int64)) if shape_a else 1
-    diff.n_elements = n
-    if n == 0:
-        return
-    itemsize = fa.model.var(name).nc_type.size
-    rows = _slab_rows(shape_a, itemsize)
-    first = shape_a[0] if shape_a else 1
-    flat_pos = 0
-    for r0 in range(0, max(first, 1), rows):
-        nr = min(rows, first - r0) if shape_a else 1
-        if shape_a:
-            start = (r0,) + (0,) * (len(shape_a) - 1)
-            count = (nr,) + shape_a[1:]
-        else:
-            start = count = ()
+        return diff
+    diff.n_elements = math.prod(shape) * k
+    first = None  # (copy, flat index within the copy) of the first bit difference
+    pos = 0
+    for start, count in _row_slabs(shape, fa.model.var(name).nc_type.size):
         a = fa.read_slab(name, start, count).ravel()
-        b = fb.read_slab(name, start, count).ravel()
-        bits = _BIT_VIEW[a.dtype.itemsize]
-        bit_neq = a.view(bits) != b.view(bits)
-        n_bit = int(bit_neq.sum())
-        if n_bit and diff.first_diff_index is None:
-            diff.first_diff_index = flat_pos + int(np.argmax(bit_neq))
-        diff.n_bit_differing += n_bit
-        if mode == "bit":
-            diff.n_differing += n_bit
-            if n_bit and a.dtype.kind == "f":
+        a_bits = a.view(f"u{a.itemsize}")
+        for j in range(k):
+            at = start[:-1] + (start[-1] + j * n,) if j else start
+            b = fb.read_slab(name, at, count).ravel()
+            bit_neq = a_bits != b.view(a_bits.dtype)
+            n_bit = int(bit_neq.sum())
+            if n_bit:
+                here = (j, pos + int(np.argmax(bit_neq)))
+                first = min(first or here, here)
+            diff.n_bit_differing += n_bit
+            if mode == "bit":
+                diff.n_differing += n_bit
+                if n_bit and a.dtype.kind == "f":
+                    af, bf = a.astype(np.float64), b.astype(np.float64)
+                    ok = np.isfinite(af) & np.isfinite(bf)
+                    if ok.any():
+                        d = np.abs(af - bf)[ok]
+                        diff.max_abs_diff = max(diff.max_abs_diff, float(d.max()))
+            else:
                 af, bf = a.astype(np.float64), b.astype(np.float64)
-                ok = np.isfinite(af) & np.isfinite(bf)
-                if ok.any():
-                    d = np.abs(af - bf)[ok]
+                nan_a, nan_b = np.isnan(af), np.isnan(bf)  # NaN-ness is counted apart
+                d = np.abs(af - bf)
+                d[nan_a | nan_b | (af == bf)] = 0.0  # so do equal infinities
+                rel = d / np.fmax(np.fmax(np.abs(af), np.abs(bf)), 1e-30)
+                rel[np.isinf(d)] = np.inf
+                if d.size:
                     diff.max_abs_diff = max(diff.max_abs_diff, float(d.max()))
+                    diff.max_rel_diff = max(diff.max_rel_diff, float(rel.max()))
+                beyond = (nan_a ^ nan_b) | (d > eps if mode == "abs" else rel > eps)
+                diff.n_differing += int(beyond.sum())
+        pos += a.size
+    if first is not None:
+        j, i = first
+        if copies:
+            diff.first_diff_copy, diff.first_diff_index = j, j * n + i % n
         else:
-            af = a.astype(np.float64)
-            bf = b.astype(np.float64)
-            nan_a, nan_b = np.isnan(af), np.isnan(bf)
-            nan_mismatch = nan_a ^ nan_b
-            both = ~nan_a & ~nan_b
-            d = np.where(both, np.abs(af - bf), 0.0)
-            denom = np.maximum(np.maximum(np.abs(af), np.abs(bf)), 1e-30)
-            rel = d / denom
-            if d.size:
-                diff.max_abs_diff = max(diff.max_abs_diff, float(d.max()))
-                diff.max_rel_diff = max(diff.max_rel_diff, float(rel.max()))
-            beyond = nan_mismatch | (d > eps if mode == "abs" else rel > eps)
-            diff.n_differing += int(beyond.sum())
-        flat_pos += a.size
+            diff.first_diff_index = i
+    return diff
+
+
+def _compare(a, b, mode, eps, copies=None) -> CompareReport:
+    """The comparison engine; `copies` = k checks b as a k-fold replica of a
+    along the gridcell dimension (see check_replication)."""
+    report = CompareReport()
+    with cdf.read_file(a) as fa, cdf.read_file(b) as fb:
+        if copies:
+            try:
+                nb = fa.model.dim("gridcell").length
+                nr = fb.model.dim("gridcell").length
+            except KeyError:
+                raise ValueError("both files need a gridcell dimension") from None
+            if nr != copies * nb:
+                raise ValueError(
+                    f"replica gridcell dimension {nr} is not {copies} x base {nb}"
+                )
+        names_a = [v.name for v in fa.model.vars]
+        names_b = [v.name for v in fb.model.vars]
+        report.vars_only_in_a = [n for n in names_a if n not in names_b]
+        report.vars_only_in_b = [n for n in names_b if n not in names_a]
+        for v in fa.model.vars:
+            if v.name not in names_b:
+                continue
+            k = copies if "gridcell" in v.dims else None
+            if k and v.dims[-1] != "gridcell":
+                raise ValueError(f"{v.name}: gridcell must be the innermost dimension")
+            report.per_var[v.name] = _compare_var(fa, fb, v.name, mode, eps, k)
+    diffs = report.per_var.values()
+    if (
+        report.vars_only_in_a
+        or report.vars_only_in_b
+        or any(d.n_differing or d.shape_mismatch for d in diffs)
+    ):
+        report.verdict = "different"
+    elif any(d.n_bit_differing for d in diffs):
+        report.verdict = "within_tolerance"
+    return report
 
 
 def compare_files(a, b, tol="bit_exact") -> CompareReport:
     """Element-wise comparison of two files, variables matched by name.
 
+    `tol` is 'bit_exact', 'abs:<eps>', 'rel:<eps>' or a pair ('abs'|'rel',
+    eps), with eps >= 0 (inf allowed); anything else raises ValueError.
     Verdict: 'identical' (bitwise equal everywhere, same variables),
     'within_tolerance' (bit differences exist but none beyond tol), or
     'different'.
     """
-    mode, eps = _parse_tol(tol)
-    report = CompareReport()
-    with cdf.read_file(a) as fa, cdf.read_file(b) as fb:
-        names_a = [v.name for v in fa.model.vars]
-        names_b = [v.name for v in fb.model.vars]
-        report.vars_only_in_a = [n for n in names_a if n not in names_b]
-        report.vars_only_in_b = [n for n in names_b if n not in names_a]
-        for name in names_a:
-            if name in report.vars_only_in_a:
-                continue
-            diff = VarDiff()
-            report.per_var[name] = diff
-            _compare_var(fa, fb, name, mode, eps, diff)
-    any_beyond = any(d.n_differing or d.shape_mismatch for d in report.per_var.values())
-    any_bits = any(d.n_bit_differing for d in report.per_var.values())
-    presence = bool(report.vars_only_in_a or report.vars_only_in_b)
-    if any_beyond or presence:
-        report.verdict = "different"
-    elif any_bits:
-        report.verdict = "within_tolerance"
-    else:
-        report.verdict = "identical"
-    return report
+    return _compare(a, b, *_parse_tol(tol))
 
 
 def check_replication(base_path, replica_path, k: int) -> CompareReport:
     """Verify a replica file equals k bit-exact copies of the base file.
 
-    Variables with a gridcell dimension are compared segment by segment;
-    others must match bit-exactly. first_diff_copy locates the copy of the
-    first differing element.
+    Variables with a gridcell dimension (which must be innermost) are
+    compared copy by copy; others must match bit-exactly. first_diff_copy
+    locates the copy of the first differing element.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    report = CompareReport()
-    with cdf.read_file(base_path) as fb, cdf.read_file(replica_path) as fr:
-        names_b = [v.name for v in fb.model.vars]
-        names_r = [v.name for v in fr.model.vars]
-        report.vars_only_in_a = [n for n in names_b if n not in names_r]
-        report.vars_only_in_b = [n for n in names_r if n not in names_b]
-        try:
-            nb = fb.model.dim("gridcell").length
-            nr = fr.model.dim("gridcell").length
-        except KeyError:
-            raise ValueError("both files need a gridcell dimension") from None
-        if nr != k * nb:
-            raise ValueError(
-                f"replica gridcell dimension {nr} is not {k} x base {nb}"
-            )
-        for name in names_b:
-            if name in report.vars_only_in_a:
-                continue
-            diff = VarDiff()
-            report.per_var[name] = diff
-            vb = fb.model.var(name)
-            if "gridcell" not in vb.dims:
-                _compare_var(fb, fr, name, "bit", 0.0, diff)
-                continue
-            if vb.dims[-1] != "gridcell":
-                raise ValueError(f"{name}: gridcell must be the innermost dimension")
-            shape_b = fb.shape(name)
-            diff.n_elements = int(np.prod(shape_b, dtype=np.int64)) * k
-            base_data = fb.read(name)
-            bits = _BIT_VIEW[base_data.dtype.itemsize]
-            lead = shape_b[:-1]
-            for j in range(k):
-                start = (0,) * (len(shape_b) - 1) + (j * nb,)
-                count = lead + (nb,)
-                seg = fr.read_slab(name, start, count)
-                neq = seg.view(bits) != base_data.view(bits)
-                n_bit = int(neq.sum())
-                if n_bit and diff.first_diff_index is None:
-                    diff.first_diff_index = j * nb + int(
-                        np.argmax(neq.reshape(-1)) % nb
-                    )
-                    diff.first_diff_copy = j
-                diff.n_bit_differing += n_bit
-                diff.n_differing += n_bit
-    if (
-        any(d.n_differing or d.shape_mismatch for d in report.per_var.values())
-        or report.vars_only_in_a
-        or report.vars_only_in_b
-    ):
-        report.verdict = "different"
-    else:
-        report.verdict = "identical"
-    return report
+    return _compare(base_path, replica_path, "bit", 0.0, copies=k)
 
 
 def files_bit_identical(a: str, b: str, chunk: int = SLAB_BYTES) -> bool:

@@ -385,7 +385,7 @@ def domain_file_model(d: DomainSpec, variant: str = cdf.CDF5) -> cdf.CdfModel:
         "cell_size_m": g.cell_size,
         "origin_x": g.origin_x,
         "origin_y": g.origin_y,
-        "id_space": g.n_cells if d is None else d.id_space,
+        "id_space": d.id_space,
         "n_copies": d.n_copies,
         **g.lcc.to_attrs(),
     }

@@ -95,14 +95,6 @@ class TimerTree:
         for c in self.children.values():
             yield from c._walk()
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seconds": self.seconds,
-            "count": self.count,
-            "children": [c.as_dict() for c in self.children.values()],
-        }
-
     def report(self, indent: int = 0) -> str:
         lines = [f"{'  ' * indent}{self.name}: {self.seconds:.4f}s x{self.count}"]
         for c in self.children.values():
@@ -181,6 +173,8 @@ class ScalingTable:
         cores = [r.n_cores for r in self.records]
         if len(set(cores)) != len(cores):
             raise ValueError("duplicate core counts in scaling records")
+        if any(r.run_seconds <= 0 for r in self.records):
+            raise ValueError("run_seconds must be positive")
         self.speedup = [base.run_seconds / r.run_seconds for r in self.records]
         self.ideal = [r.n_cores / base.n_cores for r in self.records]
         self.efficiency = [s / i for s, i in zip(self.speedup, self.ideal)]
@@ -254,11 +248,20 @@ class CostModel:
         secs = [s for _, s in pts]
         return float(np.interp(n_cores, cores, secs))
 
+    @staticmethod
+    def _check(n_cells: int, n_steps: int, n_cores: int) -> None:
+        if min(n_cells, n_steps, n_cores) < 1:
+            raise ValueError(
+                f"cells, steps and cores must be >= 1, not {n_cells}, {n_steps}, {n_cores}"
+            )
+
     def calibrate(self, run_seconds: float, n_cells: int, n_steps: int, n_cores: int) -> None:
+        self._check(n_cells, n_steps, n_cores)
         sync = self.c_sync * n_steps * math.log2(max(n_cores, 2))
         self.c_cell = max(run_seconds - sync, 0.0) * n_cores / (n_cells * n_steps)
 
     def predict(self, n_cells: int, n_steps: int, n_cores: int) -> float:
+        self._check(n_cells, n_steps, n_cores)
         return (
             self.c_cell * n_cells * n_steps / n_cores
             + self.c_sync * n_steps * math.log2(max(n_cores, 2))

@@ -320,6 +320,33 @@ class TestBenchPredictReport:
     def test_predict_uncalibrated_fails(self, capsys):
         assert run_cli("predict", "--cells", "10", "--cores", "1") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--cells", "0", "--cores", "1,2", "--calibrate-seconds", "5"],
+        ["--cells", "10", "--cores", "1,2", "--steps", "0", "--c-cell", "1e-9"],
+        ["--cells", "10", "--cores", "0,2", "--c-cell", "1e-9"],
+        ["--cells", "10", "--cores", "1,2", "--calibrate-seconds", "5",
+         "--calibrate-cores", "0"],
+    ])
+    def test_predict_counts_below_one_rejected(self, capsys, argv):
+        assert run_cli("predict", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cells, steps and cores must be >= 1")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("rows, line", [
+        (["c,LND,run,1,2.0,1,1,1"], 1),  # no header line
+        (["case,component,phase,cores,seconds", "c,LND,run,1"], 2),  # short row
+        (["case,component,phase,cores,seconds", "c,LND,run,1,2.0",
+          "c,LND,run,2,0"], 3),  # zero seconds
+    ])
+    def test_report_malformed_csv_rejected(self, tmp_path, capsys, rows, line):
+        csv = tmp_path / "bad.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        assert run_cli("report", "--csv", str(csv), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv} line {line}: ")
+        assert err.count("\n") == 1
+
 
 class TestConsoleScript:
     def test_pipeline_reproducible_across_processes(self, tmp_path):

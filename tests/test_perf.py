@@ -91,6 +91,11 @@ class TestStrongScaling:
         with pytest.raises(ValueError, match="component"):
             speedup_table([a, b])
 
+    @pytest.mark.parametrize("seconds", [0.0, -1.0])
+    def test_non_positive_run_seconds_rejected(self, seconds):
+        with pytest.raises(ValueError, match="run_seconds must be positive"):
+            speedup_table([lnd_record(8, 1.0), lnd_record(16, seconds)])
+
 
 class TestWeakScaling:
     TIMES = [316.927, 374.488, 392.896, 388.043]
