@@ -52,6 +52,9 @@ _TAG_ATTRIBUTE = 0x0C
 _MAGIC = {CDF2: b"CDF\x02", CDF5: b"CDF\x05"}
 _VARIANT_BY_MAGIC = {v: k for k, v in _MAGIC.items()}
 
+# Bytes converted to big-endian per write: bounds a write's temporary.
+WRITE_CHUNK_BYTES = 4 * 2**20
+
 # CDF-2 field limits: numrecs and vsize are 4-byte fields.
 _MAX_U32_NUMRECS = 0xFFFFFFFE
 _MAX_U32_VSIZE = 0xFFFFFFFC
@@ -370,9 +373,11 @@ class CdfWriter:
 
     def write_elements(self, name: str, start: int, values, record=None) -> None:
         """Write a flat element range of a variable (one record of it, for
-        record variables) starting at element offset `start`."""
+        record variables) starting at element offset `start`. The values are
+        converted to the file's big-endian type WRITE_CHUNK_BYTES at a time,
+        each chunk written from one reused buffer."""
         v = self.model.var(name)
-        arr = np.ascontiguousarray(values).ravel().astype(v.nc_type.dtype)
+        arr = np.asarray(values).ravel()
         slab = _per_slab_elems(self.model, v)
         if _is_record(self.model, v):
             if record is None:
@@ -389,7 +394,12 @@ class CdfWriter:
                 f"{name}: element range [{start}, {start + arr.size}) exceeds {slab}"
             )
         self._fh.seek(base + start * v.nc_type.size)
-        self._fh.write(arr.tobytes())
+        step = max(1, WRITE_CHUNK_BYTES // v.nc_type.size)
+        chunk = np.empty(min(step, arr.size), dtype=v.nc_type.dtype)
+        for i in range(0, arr.size, step):
+            part = chunk[: arr.size - i]
+            np.copyto(part, arr[i : i + step], casting="unsafe")
+            self._fh.write(part)
         self._written[name] += arr.size
 
     def close(self) -> None:
@@ -486,6 +496,30 @@ class _HeaderParser:
         return out
 
 
+def _runs(shape, start, count, itemsize) -> list:
+    """(byte offset, byte length) of each contiguous run of the hyperslab
+    (start, count) of a C-ordered block of `shape`, in the slab's order."""
+    ndim = len(shape)
+    if ndim == 0:
+        return [(0, itemsize)]
+    strides = [1] * ndim
+    for i in range(ndim - 2, -1, -1):
+        strides[i] = strides[i + 1] * shape[i + 1]
+    # Dims after `split` are fully covered, so each run spans count[split]
+    # consecutive rows.
+    split = ndim - 1
+    while split > 0 and start[split] == 0 and count[split] == shape[split]:
+        split -= 1
+    run = count[split] * strides[split] * itemsize
+    runs = []
+    for idx in np.ndindex(*count[:split]):
+        off = start[split] * strides[split]
+        for i, ix in enumerate(idx):
+            off += (start[i] + ix) * strides[i]
+        runs.append((off * itemsize, run))
+    return runs
+
+
 class CdfFile:
     """Parsed header plus lazy hyperslab access to variable data."""
 
@@ -551,7 +585,10 @@ class CdfFile:
         return self.read_slab(name, (0,) * len(shape), shape)
 
     def read_slab(self, name: str, start: tuple, count: tuple) -> np.ndarray:
-        """Read a rectangular hyperslab (start/count per dimension)."""
+        """Read a rectangular hyperslab (start/count per dimension) into a
+        fresh native-order array. Each contiguous run of the file is read
+        straight into its place in the result, which is then byte-swapped
+        in place."""
         v = self.model.var(name)
         shape = self.shape(name)
         start, count = tuple(start), tuple(count)
@@ -572,48 +609,25 @@ class CdfFile:
         if out.size == 0:
             return out
         if record:
-            inner_shape, inner_start, inner_count = shape[1:], start[1:], count[1:]
-            per = int(np.prod(inner_count, dtype=np.int64)) if inner_count else 1
-            flat = out.reshape(-1)
-            for k in range(count[0]):
-                base = v.begin + (start[0] + k) * self._record_size
-                dest = flat[k * per : (k + 1) * per].reshape(inner_count)
-                self._read_block(dest, base, inner_shape, inner_start, inner_count, itemsize, v)
+            bases = [v.begin + (start[0] + k) * self._record_size for k in range(count[0])]
+            runs = _runs(shape[1:], start[1:], count[1:], itemsize)
         else:
-            self._read_block(out, v.begin, shape, start, count, itemsize, v)
-        return out
-
-    def _read_block(self, out, base, shape, start, count, itemsize, v):
-        """Gather one non-record block, reading maximal contiguous runs."""
-        ndim = len(shape)
-        if ndim == 0:
-            out.reshape(-1)[0] = self._read_run(base, 1, v)[0]
-            return
-        strides = [1] * ndim
-        for i in range(ndim - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
-        # Dims after `split` are fully covered, so each read spans
-        # count[split] consecutive rows in one contiguous run.
-        split = ndim - 1
-        while split > 0 and start[split] == 0 and count[split] == shape[split]:
-            split -= 1
-        run_len = count[split] * strides[split]
+            bases = [v.begin]
+            runs = _runs(shape, start, count, itemsize)
         flat = out.reshape(-1)
+        dest = memoryview(flat.view(np.uint8))
         pos = 0
-        for idx in np.ndindex(*count[:split]):
-            off = start[split] * strides[split]
-            for i, ix in enumerate(idx):
-                off += (start[i] + ix) * strides[i]
-            flat[pos : pos + run_len] = self._read_run(base + off * itemsize, run_len, v)
-            pos += run_len
-
-    def _read_run(self, byte_offset, n_elems, v):
-        self._fh.seek(byte_offset)
-        raw = self._fh.read(n_elems * v.nc_type.size)
-        if len(raw) != n_elems * v.nc_type.size:
-            raise CdfError(f"variable {v.name}: truncated data")
-        arr = np.frombuffer(raw, dtype=v.nc_type.dtype)
-        return arr.astype(arr.dtype.newbyteorder("="))
+        for base in bases:
+            for offset, nbytes in runs:
+                self._fh.seek(base + offset)
+                # The open-time extent check cannot see a file that shrank
+                # since; a short read is the only sign of that.
+                if self._fh.readinto(dest[pos : pos + nbytes]) != nbytes:
+                    raise CdfError(f"variable {name}: truncated data")
+                pos += nbytes
+        if not np.dtype(v.nc_type.dtype).isnative:
+            flat.byteswap(inplace=True)
+        return out
 
     def close(self) -> None:
         if self._own:

@@ -135,7 +135,7 @@ def _compare_var(fa, fb, name, mode, eps, copies=None) -> VarDiff:
             at = start[:-1] + (start[-1] + j * n,) if j else start
             b = fb.read_slab(name, at, count).ravel()
             bit_neq = a_bits != b.view(a_bits.dtype)
-            n_bit = int(bit_neq.sum())
+            n_bit = np.count_nonzero(bit_neq)
             if n_bit:
                 here = (j, pos + int(np.argmax(bit_neq)))
                 first = min(first or here, here)

@@ -234,7 +234,8 @@ def compact(field2d, d: DomainSpec) -> np.ndarray:
     if arr.shape[-2:] != (nj, ni):
         raise ValueError(f"field shape {arr.shape} does not end in ({nj}, {ni})")
     flat = arr.reshape(arr.shape[:-2] + (nj * ni,))
-    return flat[..., d.land_flat]
+    # take, unlike flat[..., idx], returns a C-ordered array.
+    return np.take(flat, d.land_flat, axis=-1)
 
 
 def expand(field1d, d: DomainSpec, fill=np.nan) -> np.ndarray:

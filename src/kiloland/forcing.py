@@ -116,6 +116,25 @@ def _spread(d, shape, mode: str, axis: int) -> np.ndarray:
     raise ValueError(f"unknown downscale mode {mode!r}")
 
 
+def _spread_day(out, d, shape, mode: str, product) -> None:
+    """`_spread` for one checked day, written into `out` (8, n): daily
+    values `d` (n,), profile `shape` (8, 1), float64 work buffer `product`
+    (8, n). Each formula runs in float64 and is rounded once on the store;
+    the day's scalar aggregate picks the uniform branch."""
+    if mode == ADDITIVE:
+        np.add(d, shape - shape.mean(axis=0, keepdims=True), out=out)
+        return
+    if mode == MULTIPLICATIVE:
+        agg, uniform = shape.mean(axis=0, keepdims=True), 1
+    else:
+        agg, uniform = shape.sum(axis=0, keepdims=True), STEPS_PER_DAY
+    if agg.item() == 0:  # every step gets the daily mean, or 1/8 of the total
+        np.divide(d, uniform, out=out)
+    else:
+        np.multiply(d, shape, out=product)
+        np.divide(product, agg, out=out)
+
+
 @dataclass
 class ShapeProfile:
     """Per-variable, per-day reference sub-daily profiles (8 steps)."""
@@ -148,14 +167,16 @@ def downscale_month(
     """Downscale a month of daily 2D fields to 3-hourly, land-compacted
     records. `offset_hours` positions the month inside its period.
 
-    Each daily field is compacted to its land cells first, then downscaled
-    one day at a time: day k fills records [8k, 8k + 8) of a preallocated
-    C-contiguous float32 (n_steps, n_land) array, with the same float64
-    arithmetic per element as `downscale_day` on the whole grid.
+    Each daily field is compacted to its land cells first and checked once,
+    then downscaled one day at a time: day k's float64 formula is written
+    straight into records [8k, 8k + 8) of a preallocated C-contiguous
+    float32 (n_steps, n_land) array. The arithmetic per element is that of
+    `downscale_day` on the whole grid.
     """
     n_days = days_in_month(year, month)
     nj, ni = d.grid.n_rows, d.grid.n_cols
     values = {}
+    product = np.empty((STEPS_PER_DAY, d.n_land))  # daily * profile, reused
     for name, spec in VARIABLES.items():
         if name not in daily_fields:
             raise ValueError(f"missing daily field {name}")
@@ -168,12 +189,16 @@ def downscale_month(
         if prof.shape != (n_days, STEPS_PER_DAY):
             raise ValueError(f"{name}: profile shape {prof.shape} != ({n_days}, 8)")
         land = compact(daily, d)  # (n_days, n_land)
+        mode = spec.downscale_mode
+        # min propagates NaN: one pass each, with no mask.
+        if np.isnan(prof.min()) or (land.size and np.isnan(land.min())):
+            raise ValueError("NaN in downscaling input")
+        if mode != ADDITIVE and prof.min() < 0:
+            raise ValueError(f"{mode} profiles must be nonnegative")
         out = np.empty((n_days * STEPS_PER_DAY, d.n_land), dtype=np.float32)
         for day in range(n_days):
-            rows = slice(day * STEPS_PER_DAY, (day + 1) * STEPS_PER_DAY)
-            out[rows] = _spread(
-                land[day][None, :], prof[day][:, None], spec.downscale_mode, axis=0
-            )
+            rows = out[day * STEPS_PER_DAY : (day + 1) * STEPS_PER_DAY]
+            _spread_day(rows, land[day], prof[day][:, None], mode, product)
         values[name] = out
     time_axis = offset_hours + np.arange(n_days * STEPS_PER_DAY) * STEP_HOURS
     return ForcingMonth(year, month, n_days * STEPS_PER_DAY, values, time_axis)

@@ -125,6 +125,8 @@ def interp_nearest(src: CoarseGrid, lat, lon, idx=None) -> dict:
     for name, v in src.values.items():
         v = np.asarray(v)
         flat = v.reshape(v.shape[:-2] + (-1,))
+        # This gather's memory layout sets the summation order of
+        # build_surface's PCT_PFT renormalization, so it fixes output bits.
         out[name] = flat[..., idx]
     return out
 
@@ -159,6 +161,9 @@ def interp_bilinear(src: CoarseGrid, lat, lon) -> dict:
         out[name] = low + (high - low) * f
     return out
 
+
+# Clamp bounds besides the [0, 100] of every PCT_ variable.
+_CLAMPS = {"FMAX": (0.0, 1.0), "MONTHLY_LAI": (0.0, None)}
 
 _METHODS = {"nearest": interp_nearest, "bilinear": interp_bilinear, "linear": interp_bilinear}
 
@@ -232,13 +237,14 @@ def build_surface(d: DomainSpec, src: CoarseGrid, methods: dict) -> SurfaceDatas
         else:
             out[name] = _METHODS[method](one, lat, lon)[name]
         used[name] = "bilinear" if method == "linear" else method
+    # Every array in `out` was gathered or computed here, so it is clamped
+    # in place; an integer one widens to float64 first, as np.clip would.
     for name, v in out.items():
-        if name.startswith("PCT_"):
-            out[name] = np.clip(v, 0.0, 100.0)
-    if "FMAX" in out:
-        out["FMAX"] = np.clip(out["FMAX"], 0.0, 1.0)
-    if "MONTHLY_LAI" in out:
-        out["MONTHLY_LAI"] = np.maximum(out["MONTHLY_LAI"], 0.0)
+        bounds = (0.0, 100.0) if name.startswith("PCT_") else _CLAMPS.get(name)
+        if bounds is not None:
+            if v.dtype.kind != "f":
+                v = out[name] = v.astype(np.float64)
+            np.clip(v, *bounds, out=v)
     if "PCT_PFT" in out:
         pct = out["PCT_PFT"]
         total = pct.sum(axis=0)
@@ -246,7 +252,7 @@ def build_surface(d: DomainSpec, src: CoarseGrid, methods: dict) -> SurfaceDatas
         if zero.any():
             pct[0, zero] = 100.0
             total = pct.sum(axis=0)
-        out["PCT_PFT"] = pct * (100.0 / total)
+        np.multiply(pct, 100.0 / total, out=pct)
     ds = SurfaceDataset(values=out, methods=used, n_land=d.n_land)
     ds.validate()
     return ds

@@ -1,4 +1,6 @@
 import io
+import math
+import os
 import struct
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kiloland import cdf
 from kiloland.cdf import (
     CDF2,
     CDF5,
@@ -189,24 +192,55 @@ class TestRecordLayout:
         slab = f.read_slab("a", (1, 2), (4, 2))
         np.testing.assert_array_equal(slab, a[1:5, 2:4])
 
-    def test_hyperslab_3d_oracle(self):
-        rng = np.random.default_rng(7)
-        model = CdfModel(
-            variant=CDF5, dims=[Dim("i", 5), Dim("j", 4), Dim("k", 3)]
-        )
-        model.vars.append(Var("v", NcType.FLOAT64, ("i", "j", "k")))
-        data = rng.standard_normal((5, 4, 3))
-        f = read_file(write_file(None, model, {"v": data}))
-        for _ in range(25):
-            start = [int(rng.integers(0, n)) for n in (5, 4, 3)]
-            count = [int(rng.integers(1, n - s + 1)) for s, n in zip(start, (5, 4, 3))]
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_hyperslab_3d_oracle(self, data):
+        """Random hyperslabs of every type, fixed and record, under CDF-2 and
+        CDF-5, against the blob's bytes decoded at the header's offsets."""
+        variant = data.draw(st.sampled_from([CDF2, CDF5]))
+        types = [NcType.INT32, NcType.FLOAT32, NcType.FLOAT64]
+        t = data.draw(st.sampled_from(types + [NcType.INT64] * (variant == CDF5)))
+        record = data.draw(st.booleans())
+        lengths = data.draw(st.lists(st.integers(1, 4), max_size=3))
+        numrecs = data.draw(st.integers(0, 3)) if record else 0
+        names = [f"d{i}" for i in range(len(lengths))]
+        model = CdfModel(variant=variant, dims=[Dim("t", 0, True)])
+        model.dims += [Dim(n, k) for n, k in zip(names, lengths)]
+        # A fixed and a second record variable around `v`, so that its begin
+        # and record stride differ from its own size.
+        model.vars.append(Var("f", NcType.INT32, ("d0",) if names else ()))
+        model.vars.append(Var("v", t, (("t",) if record else ()) + tuple(names)))
+        model.vars.append(Var("r", NcType.FLOAT32, ("t",)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        arrays = {}
+        for var in model.vars:
+            shape = model.var_shape(var, numrecs)
+            raw = rng.integers(0, 256, math.prod(shape) * var.nc_type.size, dtype=np.uint8)
+            native = np.dtype(var.nc_type.dtype).newbyteorder("=")
+            arrays[var.name] = raw.view(native).reshape(shape)  # any bits, NaNs too
+        blob = write_file(None, model, arrays, numrecs=numrecs)
+        f = read_file(blob)
+        v = f.model.var("v")
+        shape = f.shape("v")
+        inner = shape[1:] if record else shape
+        if record:
+            stride = sum(x.vsize for x in f.model.vars if x.dims[:1] == ("t",))
+            offsets = [v.begin + k * stride for k in range(numrecs)]
+        else:
+            offsets = [v.begin]
+        full = np.array(
+            [np.frombuffer(blob, v.nc_type.dtype, math.prod(inner), o) for o in offsets],
+            dtype=v.nc_type.dtype,
+        ).reshape(shape)
+        for _ in range(4):
+            start = [data.draw(st.integers(0, n)) for n in shape]
+            count = [data.draw(st.integers(0, n - s)) for s, n in zip(start, shape)]
             got = f.read_slab("v", start, count)
-            want = data[
-                start[0] : start[0] + count[0],
-                start[1] : start[1] + count[1],
-                start[2] : start[2] + count[2],
-            ]
-            np.testing.assert_array_equal(got, want)
+            want = full[tuple(slice(s, s + c) for s, c in zip(start, count))]
+            assert got.shape == tuple(count)
+            assert got.dtype.isnative and got.dtype == want.dtype.newbyteorder("=")
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert got.tobytes() == want.astype(got.dtype).tobytes()
 
 
 class TestSizeAccounting:
@@ -342,6 +376,22 @@ class TestErrors:
             with pytest.raises(CdfError, match="do not fit"):
                 f.read("r")
 
+    @pytest.mark.parametrize("var, keep", [("fixed", 0.2), ("rec", 0.9)])
+    def test_truncated_after_open(self, tmp_path, var, keep):
+        """A file cut short after the open-time extent check: the short read
+        raises rather than leaving part of the result unfilled."""
+        model = CdfModel(variant=CDF5, dims=[Dim("t", 0, True), Dim("n", 20_000)])
+        model.vars.append(Var("fixed", NcType.FLOAT64, ("n",)))
+        model.vars.append(Var("rec", NcType.FLOAT32, ("t", "n")))
+        path = str(tmp_path / "cut.nc")
+        with open(path, "wb") as fh:
+            write_file(fh, model, {"fixed": np.ones(20_000), "rec": np.ones((3, 20_000))})
+        size = os.path.getsize(path)
+        with read_file(path) as f:
+            os.truncate(path, int(size * keep))
+            with pytest.raises(CdfError, match="truncated data"):
+                f.read_slab(var, (0,) * len(f.shape(var)), f.shape(var))
+
     def test_cdf2_numrecs_limit(self):
         model = CdfModel(variant=CDF2, dims=[Dim("t", 0, True)])
         model.vars.append(Var("v", NcType.FLOAT32, ("t",)))
@@ -351,7 +401,7 @@ class TestErrors:
 
 
 class TestElementWrites:
-    def test_piecewise_equals_one_shot(self):
+    def test_piecewise_equals_one_shot(self, monkeypatch):
         model = CdfModel(variant=CDF5, dims=[Dim("t", 0, True), Dim("n", 6)])
         model.vars.append(Var("r", NcType.FLOAT64, ("t", "n")))
         model.vars.append(Var("s", NcType.INT32, ("n",)))
@@ -360,15 +410,20 @@ class TestElementWrites:
         s = rng.integers(0, 100, 6).astype(np.int32)
         serial = write_file(None, model, {"r": r, "s": s})
 
-        buf = io.BytesIO()
-        w = CdfWriter(buf, model, numrecs=3)
-        w.write_elements("s", 3, s[3:])
-        w.write_elements("s", 0, s[:3])
-        for rec in (2, 0, 1):
-            w.write_elements("r", 2, r[rec, 2:], record=rec)
-            w.write_elements("r", 0, r[rec, :2], record=rec)
-        w.close()
-        assert buf.getvalue() == serial
+        # Write chunks below one element, of one f8 / two i4, and of 2.5 f8 /
+        # 5 i4 elements: ranges at nonzero starts cross chunk boundaries.
+        for chunk_bytes in (cdf.WRITE_CHUNK_BYTES, 3, 8, 20):
+            monkeypatch.setattr(cdf, "WRITE_CHUNK_BYTES", chunk_bytes)
+            assert write_file(None, model, {"r": r, "s": s}) == serial
+            buf = io.BytesIO()
+            w = CdfWriter(buf, model, numrecs=3)
+            w.write_elements("s", 3, s[3:])
+            w.write_elements("s", 0, s[:3])
+            for rec in (2, 0, 1):
+                w.write_elements("r", 2, r[rec, 2:], record=rec)
+                w.write_elements("r", 0, r[rec, :2], record=rec)
+            w.close()
+            assert buf.getvalue() == serial
 
 
 class TestScipyInterop:

@@ -190,6 +190,13 @@ class TestDownscaleMonthLandOnly:
         with pytest.raises(ValueError, match="nonnegative"):
             downscale_month(daily, prof, aksp_mini, y, m)
 
+    def test_inputs_stay_unwritten(self, aksp_mini):
+        (y, m, daily, prof) = synth_forcing(5, aksp_mini, [(2014, 1)])[0]
+        prof = with_zero_day(prof)
+        before = [a.tobytes() for a in (*daily.values(), *prof.values.values())]
+        downscale_month(daily, prof, aksp_mini, y, m)
+        assert [a.tobytes() for a in (*daily.values(), *prof.values.values())] == before
+
     def test_files_match_whole_grid_formula(self, aksp_mini, tmp_path):
         months = [(2014, 1), (2014, 2)]
         paths = gen_forcing_files(11, aksp_mini, months, tmp_path / "new")

@@ -223,6 +223,19 @@ class TestBuildSurface:
         with pytest.raises(NotImplementedError, match="spline"):
             build_surface(aksp_mini, src, methods)
 
+    @pytest.mark.parametrize("method", ["nearest", "bilinear"])
+    def test_source_stays_unwritten(self, aksp_mini, method):
+        """The clamps and the renormalization act on the interpolated arrays
+        only, even where every one of them fires."""
+        src = coarse_for(aksp_mini)
+        src.values["PCT_CLAY"][:, ::2] = 130.0
+        src.values["PCT_PFT"][:, 1::2] = -5.0
+        src.values["FMAX"][::3] = 1.5
+        src.values["MONTHLY_LAI"][..., ::2, :] = -1.0
+        before = {name: v.tobytes() for name, v in src.values.items()}
+        build_surface(aksp_mini, src, {name: method for name in src.values})
+        assert {name: v.tobytes() for name, v in src.values.items()} == before
+
     def test_bilinear_methods_work_too(self, aksp_mini):
         src = coarse_for(aksp_mini)
         methods = all_nearest(src)
