@@ -364,10 +364,11 @@ class ForcingStream:
     The record values are immutable after open; several streams over the
     same files are safe. Each stream caches, per variable, the float64
     bracket of the record it last served: `a`, and `b - a` to the next
-    record once an interpolation needs it. The entry is reused while the
-    record index stays the same, so hourly steps widen each record once.
-    Cached arrays are read-only, and `fields_at` returns `a` itself where
-    it does not interpolate.
+    record once an interpolation needs it, with the widened `b` kept beside
+    it. When the record advances by one, that `b` becomes the new `a`, so
+    stepping forward widens each record once (`_widen`). Cached arrays are
+    read-only, and `fields_at` returns `a` itself where it does not
+    interpolate: every step inside a nearest-mode bin gets the same array.
 
     Linear-mode variables interpolate between bracketing records and hold
     the final record of the data over its trailing interval; nearest-mode
@@ -380,9 +381,13 @@ class ForcingStream:
     interpolation partner), so inside the window it serves the same fields,
     bit for bit, as the full stream. The trailing hold therefore applies
     only at the real end of the data, never at a window's edge.
+
+    A windowed stream may serve some variables only at `end` (`end_only`):
+    each of them holds just the record whose bin contains `end` and its
+    partner, and `fields_at` raises ValueError for it at any earlier t.
     """
 
-    def __init__(self, time_axis: np.ndarray, values: dict, window=None):
+    def __init__(self, time_axis: np.ndarray, values: dict, window=None, end_only=()):
         self.time = np.asarray(time_axis, dtype=np.float64)
         if self.time.size == 0:
             raise ValueError("empty forcing stream")
@@ -391,17 +396,34 @@ class ForcingStream:
         self.values = values
         self.n_cols = next(iter(values.values())).shape[1]
         self.window = None if window is None else (float(window[0]), float(window[1]))
-        self._brackets = {}  # name -> [j, a, b - a or None]
+        self.end_only = frozenset(end_only)  # needs a window; see open
+        # Index in `time` of each variable's first stored record; an
+        # end-only variable holds the trailing records.
+        self._first = {name: self.time.size - len(v) for name, v in values.items()}
+        self._brackets = {}  # name -> [j, a, b - a or None, b or None]
 
     @classmethod
-    def open(cls, paths: list, columns=None, window=None) -> "ForcingStream":
+    def open(cls, paths: list, columns=None, window=None, names=None) -> "ForcingStream":
         """Concatenate monthly files; `columns` restricts to a gridcell
         subset (e.g. one rank's cells, in local order) and `window` to the
         records that serve the closed time window (start, end) in hours.
+        `names`, with a window, lists the variables served over the whole
+        window; every other variable is served only at `end` (see the class
+        docstring). Without `names` every variable is served throughout.
 
         Every file's time axis is read (months must follow each other
-        without a gap); a file outside the window gives no data reads.
+        without a gap); each variable's records are read with one slab per
+        file that holds any of them, so a file outside the window gives no
+        data reads.
         """
+        end_only = ()
+        if names is not None:
+            unknown = sorted(set(names) - set(VARIABLES))
+            if unknown:
+                raise ValueError(f"unknown forcing variables {unknown}")
+            if window is None:
+                raise ValueError("serving a subset of the variables needs a window")
+            end_only = tuple(name for name in VARIABLES if name not in names)
         with ExitStack() as stack:
             files = [stack.enter_context(cdf.read_file(p)) for p in paths]
             times = []
@@ -416,18 +438,21 @@ class ForcingStream:
                 times.append(t)
             time_axis = np.concatenate(times)
             lo, hi = _record_range(time_axis, window)
+            first = dict.fromkeys(VARIABLES, lo)
+            if end_only:  # from the record whose bin holds the end
+                end_record = int(np.searchsorted(time_axis, window[1], side="right")) - 1
+                first.update(dict.fromkeys(end_only, end_record))
             parts = {name: [] for name in VARIABLES}
             offset = 0
             for f, t in zip(files, times):
-                r0, r1 = max(lo - offset, 0), min(hi - offset, t.size)
-                offset += t.size
-                if r0 >= r1:
-                    continue
                 n_land = f.model.dim("gridcell").length
                 for name in VARIABLES:
-                    parts[name].append(_read_columns(f, name, n_land, columns, r0, r1))
+                    r0, r1 = max(first[name] - offset, 0), min(hi - offset, t.size)
+                    if r0 < r1:
+                        parts[name].append(_read_columns(f, name, n_land, columns, r0, r1))
+                offset += t.size
         values = {name: _join(parts[name]) for name in VARIABLES}
-        return cls(time_axis[lo:hi], values, window)
+        return cls(time_axis[lo:hi], values, window, end_only)
 
     @property
     def coverage(self) -> tuple:
@@ -450,24 +475,37 @@ class ForcingStream:
         # so j is the final stored record only at the end of the data.
         exact = self.time[j] == t_hours or j == self.time.size - 1
         for name in VARIABLES if names is None else names:
+            if name in self.end_only and t_hours < hi:
+                raise ValueError(f"{name} is served only at {hi}h, not at {t_hours}h")
             if VARIABLES[name].interp_mode == NEAREST or exact:
                 out[name] = self._bracket(name, j, False)[0]
             else:
                 w = (t_hours - self.time[j]) / (self.time[j + 1] - self.time[j])
                 a, diff = self._bracket(name, j, True)
-                out[name] = a + diff * w
+                field = diff * w
+                field += a  # a + diff * w: addition commutes bit for bit
+                out[name] = field
         return out
 
     def _bracket(self, name: str, j: int, with_diff: bool) -> list:
         """[a, b - a] of `name` at record j from the cache. b - a is filled
-        in by the first request with `with_diff`; until then it is None."""
+        in by the first request with `with_diff`; until then it is None.
+        The widened b computed with it serves as a at record j + 1."""
         entry = self._brackets.get(name)
         if entry is None or entry[0] != j:
-            a = _frozen(self.values[name][j].astype(np.float64))
-            entry = self._brackets[name] = [j, a, None]
+            if entry is not None and entry[0] == j - 1 and entry[3] is not None:
+                a = entry[3]
+            else:
+                a = self._widen(name, j)
+            entry = self._brackets[name] = [j, a, None, None]
         if with_diff and entry[2] is None:
-            entry[2] = _frozen(self.values[name][j + 1].astype(np.float64) - entry[1])
-        return entry[1:]
+            b = entry[3] = self._widen(name, j + 1)
+            entry[2] = _frozen(b - entry[1])
+        return entry[1:3]
+
+    def _widen(self, name: str, j: int) -> np.ndarray:
+        """Record j of `name` as a read-only float64 array."""
+        return _frozen(self.values[name][j - self._first[name]].astype(np.float64))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,18 +54,13 @@ class TimerTree:
             node = self.children[name] = TimerTree(name)
         return node
 
-    @contextmanager
-    def timed(self):
-        """Time one pass through this node's own region."""
-        t0 = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.seconds += time.perf_counter() - t0
-            self.count += 1
+    def timed(self) -> "_Pass":
+        """Time one pass through this node's own region (a context manager
+        that yields the node)."""
+        return _Pass(self)
 
-    def region(self, name: str):
-        return self.child(name).timed()
+    def region(self, name: str) -> "_Pass":
+        return _Pass(self.child(name))
 
     def add(self, name: str, seconds: float, count: int = 1) -> None:
         node = self.child(name)
@@ -100,6 +94,25 @@ class TimerTree:
         for c in self.children.values():
             lines.append(c.report(indent + 1))
         return "\n".join(lines)
+
+
+class _Pass:
+    """One timed pass through a node: its seconds and count are added on
+    exit, also when the body raises (the exception propagates)."""
+
+    __slots__ = ("node", "t0")
+
+    def __init__(self, node: TimerTree):
+        self.node = node
+
+    def __enter__(self) -> TimerTree:
+        self.t0 = time.perf_counter()
+        return self.node
+
+    def __exit__(self, *exc) -> None:
+        node = self.node
+        node.seconds += time.perf_counter() - self.t0
+        node.count += 1
 
 
 @dataclass
@@ -363,9 +376,12 @@ def run_scaling_suite(
 
     With `repeats` > 1 each point is measured several times and the run
     with the smallest land time is kept (the minimum is the least
-    contention-disturbed estimate on shared machines). Emits per-component
-    ScalingTables, a CSV, and an SVG speedup chart; in strong mode every
-    run's outputs are checked bit-identical to the first run's.
+    contention-disturbed estimate on shared machines). The repeats are
+    interleaved across worker counts (1, 2, 1, 2, ... for counts [1, 2]),
+    so a drift of the machine's speed during the suite hits every count
+    alike. Emits per-component ScalingTables, a CSV, and an SVG speedup
+    chart; in strong mode every run's outputs are checked bit-identical to
+    the first run's.
     """
     from . import compare as compare_mod
     from . import simulation
@@ -380,16 +396,17 @@ def run_scaling_suite(
             "in measured mode"
         )
     os.makedirs(out_dir, exist_ok=True)
-    rows = {"ATM": [], "CPL": [], "LND": []}
-    reference = None
+    configs = {}
     for w in worker_counts:
-        run_cfg = replace(cfg, lnd_workers=w)
+        configs[w] = replace(cfg, lnd_workers=w)
         if mode == "weak":
-            run_cfg = simulation.replicate_case(run_cfg, w, out_dir)
-        best = None
-        for rep in range(max(repeats, 1)):
+            configs[w] = simulation.replicate_case(configs[w], w, out_dir)
+    reference = None
+    best = {}
+    for rep in range(max(repeats, 1)):
+        for w in worker_counts:
             run_dir = os.path.join(out_dir, f"{mode}_w{w}" + (f"_r{rep}" if rep else ""))
-            result = simulation.run_case(run_cfg, run_dir)
+            result = simulation.run_case(configs[w], run_dir)
             if mode == "strong":
                 if reference is None:
                     reference = result
@@ -411,20 +428,25 @@ def run_scaling_suite(
                                 f"scaling run with {w} workers diverged from the "
                                 f"reference: {os.path.basename(b)}"
                             )
-            if best is None or result.component_seconds["lnd"] < best.component_seconds["lnd"]:
-                best = result
-        for comp, region in (("ATM", "atm"), ("CPL", "cpl"), ("LND", "lnd")):
-            rows[comp].append(
-                ScalingRecord(
-                    case=run_cfg.name,
-                    component=comp,
-                    n_cores=w,
-                    init_seconds=best.init_seconds,
-                    run_seconds=best.component_seconds[region],
-                    sim_days=run_cfg.n_days,
-                    cells_per_core=best.n_land / w,
-                )
+            if w not in best or (
+                result.component_seconds["lnd"] < best[w].component_seconds["lnd"]
+            ):
+                best[w] = result
+    rows = {
+        comp: [
+            ScalingRecord(
+                case=configs[w].name,
+                component=comp,
+                n_cores=w,
+                init_seconds=best[w].init_seconds,
+                run_seconds=best[w].component_seconds[region],
+                sim_days=configs[w].n_days,
+                cells_per_core=best[w].n_land / w,
             )
+            for w in worker_counts
+        ]
+        for comp, region in (("ATM", "atm"), ("CPL", "cpl"), ("LND", "lnd"))
+    }
     tables = {comp: ScalingTable(recs) for comp, recs in rows.items()}
     csv_path = os.path.join(out_dir, f"scaling_{mode}.csv")
     with open(csv_path, "w") as fh:

@@ -116,13 +116,16 @@ def step_cells(state: dict, forcing: dict, p: ToyParams, dt: float):
     tbot = forcing["TBOT"]
     prect = forcing["PRECT"]  # mm/h
     fsds = forcing["FSDS"]
-    # min() propagates NaN, so one reduction per input finds any.
-    if any(np.size(x) and np.isnan(np.min(x)) for x in (tbot, prect, fsds)):
+    # minimum propagates NaN, so one reduction per input finds any; the
+    # ufunc's own reduce skips np.min's Python-level wrapper.
+    if any(np.size(x) and np.isnan(np.minimum.reduce(x, axis=None)) for x in (tbot, prect, fsds)):
         bad = np.flatnonzero(np.isnan(np.asarray(tbot) + np.asarray(prect) + np.asarray(fsds)))
         raise ValueError(f"NaN forcing at cells {bad[:5].tolist()}")
     swe, water, temp, c_leaf, c_soil = (state[k] for k in STATE_VARS)
-    shape = np.broadcast_shapes(*(np.shape(x) for x in (tbot, prect, fsds, swe, water, temp,
-                                                        c_leaf, c_soil)))
+    inputs = (tbot, prect, fsds, swe, water, temp, c_leaf, c_soil)
+    shape = getattr(tbot, "shape", None)
+    if shape is None or any(getattr(x, "shape", None) != shape for x in inputs):
+        shape = np.broadcast_shapes(*(np.shape(x) for x in inputs))
     diag = np.empty((len(HIST_VARS),) + shape)
     fsno, h2osoi, tlai, tsoi, qrunoff, gpp = (diag[i, ...] for i in range(len(HIST_VARS)))
 
@@ -357,37 +360,56 @@ class _WorkerTask:
     rank: _Rank
 
 
-def _couple(fields: dict) -> dict:
+class _Coupler:
     """Coupler delivery: unit conversion for the land component, made on
     the fresh dict `fields_at` returns. Its arrays may be the stream's
     read-only cache, so PRECT is replaced, never divided in place.
 
     Precipitation records are mm per 3-hour bin; the land model consumes a
-    rate in mm/h.
+    rate in mm/h. The stream serves one read-only array for every step of
+    a PRECT bin, so the rate is computed once per bin: while the input is
+    that same read-only object, the previous rate (itself read-only) is
+    delivered again.
     """
-    fields["PRECT"] = fields["PRECT"] / STEP_HOURS
-    return fields
+
+    def __init__(self):
+        self._prect = self._rate = None
+
+    def __call__(self, fields: dict) -> dict:
+        prect = fields["PRECT"]
+        if prect is not self._prect or prect.flags.writeable:
+            self._prect, self._rate = prect, prect / STEP_HOURS
+            self._rate.flags.writeable = False
+        fields["PRECT"] = self._rate
+        return fields
+
+
+def _couple(fields: dict) -> dict:
+    """One coupler delivery, with nothing carried over from another."""
+    return _Coupler()(fields)
 
 
 def _run_worker_segment(task: _WorkerTask) -> _Rank:
     """Step one rank through [step_lo, step_hi); returns the updated rank."""
     rank = task.rank
-    timers = rank.timers
+    atm, cpl, lnd = (rank.timers.child(region) for region in ("atm", "cpl", "lnd"))
     window = (task.step_lo * task.dt_hours, (task.step_hi - 1) * task.dt_hours)
-    with timers.region("atm"):
-        stream = ForcingStream.open(task.forcing_paths, columns=rank.columns, window=window)
-    state = rank.state
+    with atm.timed():
+        # Only the segment's last step feeds the coupler restart (cpl.r), so
+        # the other variables are read only for the window's end.
+        stream = ForcingStream.open(task.forcing_paths, columns=rank.columns, window=window,
+                                    names=FORCING_INPUTS)
+    couple = _Coupler()
+    state, sums, last = rank.state, rank.sums, task.step_hi - 1
     for step in range(task.step_lo, task.step_hi):
-        t = step * task.dt_hours
-        # Only the segment's last step feeds the coupler restart (cpl.r).
-        names = None if step == task.step_hi - 1 else FORCING_INPUTS
-        with timers.region("atm"):
-            fields = stream.fields_at(t, names)
-        with timers.region("cpl"):
-            bundle = _couple(fields)
-        with timers.region("lnd"):
+        names = None if step == last else FORCING_INPUTS
+        with atm.timed():
+            fields = stream.fields_at(step * task.dt_hours, names)
+        with cpl.timed():
+            bundle = couple(fields)
+        with lnd.timed():
             state, diag = step_cells(state, bundle, task.params, task.dt_hours)
-            rank.sums += diag
+            sums += diag
     rank.state, rank.bundle = state, bundle
     return rank
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -437,6 +439,76 @@ class TestBracketCache:
                         arr[0] = np.nan
                 else:
                     arr[:] = np.nan  # a fresh result, not the cache
+
+
+    def test_hourly_stepping_widens_each_record_once(self, two_months, monkeypatch):
+        _, full = two_months
+        widened = Counter()
+        widen = ForcingStream._widen
+
+        def counting(self, name, j):
+            widened[name, j] += 1
+            return widen(self, name, j)
+
+        monkeypatch.setattr(ForcingStream, "_widen", counting)
+        s = ForcingStream(full.time, full.values)
+        served = [s.fields_at(float(t)) for t in range(101)]
+        assert set(widened.values()) == {1}
+        # t = 100h lies inside record 33's bin: the linear variables also
+        # widened its partner, record 34.
+        for name, spec in VARIABLES.items():
+            n = 34 if spec.interp_mode == "nearest" else 35
+            assert sorted(j for v, j in widened if v == name) == list(range(n)), name
+        # Every step of a nearest-mode bin gets the one cached array.
+        for k in range(33):
+            bin_fields = served[3 * k : 3 * k + 3]
+            assert all(f["PRECT"] is bin_fields[0]["PRECT"] for f in bin_fields), k
+
+
+_columns = st.none() | st.lists(st.integers(0, 612), min_size=1, max_size=12, unique=True)
+
+
+class TestCouplerOnlyVariables:
+    """A stream opened with `names` serves the other variables only at the
+    window's end."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_hours, b=_hours, cols=_columns)
+    @example(a=0.0, b=23.0, cols=None)  # ends on a record
+    @example(a=743.0, b=745.5, cols=[612, 0])  # crosses the month boundary
+    @example(a=1400.0, b=1415.75, cols=None)  # ends in the trailing interval
+    @example(a=742.5, b=742.5, cols=[5])  # one instant
+    def test_serves_the_full_stream_bytes(self, two_months, a, b, cols):
+        from kiloland.simulation import FORCING_INPUTS
+
+        paths, full = two_months
+        start, end = min(a, b), max(a, b)
+        idx = slice(None) if cols is None else np.array(cols)
+        s = ForcingStream.open(paths, columns=cols, window=(start, end), names=FORCING_INPUTS)
+        coupler_only = [name for name in VARIABLES if name not in FORCING_INPUTS]
+        assert s.end_only == set(coupler_only)
+        for name, v in s.values.items():
+            assert len(v) <= (2 if name in coupler_only else s.time.size), name
+        for t in _window_times(start, end, full.time):
+            got = s.fields_at(float(t), FORCING_INPUTS)
+            want = full.fields_at(float(t))
+            for name in FORCING_INPUTS:
+                assert got[name].tobytes() == want[name][idx].tobytes(), (name, t)
+            if t < end:
+                for name in coupler_only:
+                    with pytest.raises(ValueError, match=f"{name} is served only at {end}h"):
+                        s.fields_at(float(t), [name])
+        got, want = s.fields_at(end), full.fields_at(end)
+        assert list(got) == list(VARIABLES)
+        for name in VARIABLES:
+            assert got[name].tobytes() == want[name][idx].tobytes(), name
+
+    def test_bad_names_rejected(self, two_months):
+        paths, _ = two_months
+        with pytest.raises(ValueError, match="needs a window"):
+            ForcingStream.open(paths, names=["TBOT"])
+        with pytest.raises(ValueError, match="unknown forcing variables"):
+            ForcingStream.open(paths, window=(0.0, 5.0), names=["TBOT", "RAIN"])
 
 
 class TestWindow:

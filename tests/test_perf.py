@@ -184,6 +184,17 @@ class TestTimerTree:
         t.add("lnd", 1.5)
         assert "lnd: 1.5000s" in t.report()
 
+    def test_pass_counted_when_body_raises(self):
+        t = TimerTree()
+        with t.timed() as node:
+            assert node is t
+        with pytest.raises(KeyError, match="boom"):
+            with t.region("atm"):
+                time.sleep(0.01)
+                raise KeyError("boom")
+        assert t.count == 1 and t.seconds > 0
+        assert t.child("atm").count == 1 and t.total("atm") >= 0.01
+
 
 class TestPredictor:
     def test_zero_sync_is_perfect_scaling(self):
@@ -255,6 +266,31 @@ class TestMeasuredSuite:
         assert os.path.exists(result["svg"])
         text = open(result["csv"]).read()
         assert text.count("LND,run") == 2
+
+    def test_repeats_interleave_worker_counts(self, mini_inputs, tmp_path, monkeypatch):
+        from kiloland import simulation
+
+        runs = []  # (workers, run directory, land seconds) in run order
+        run_case = simulation.run_case
+
+        def recording(cfg, out_dir):
+            result = run_case(cfg, out_dir)
+            runs.append((cfg.lnd_workers, os.path.basename(out_dir),
+                         result.component_seconds["lnd"]))
+            return result
+
+        monkeypatch.setattr(simulation, "run_case", recording)
+        cfg = make_case_config(mini_inputs, n_days=1)
+        result = run_scaling_suite(cfg, [1, 2], mode="strong", out_dir=str(tmp_path), repeats=3)
+        assert [(w, d) for w, d, _ in runs] == [
+            (1, "strong_w1"), (2, "strong_w2"),
+            (1, "strong_w1_r1"), (2, "strong_w2_r1"),
+            (1, "strong_w1_r2"), (2, "strong_w2_r2"),
+        ]
+        # Each count keeps its fastest land time.
+        lnd = result["tables"]["LND"]
+        for rec in lnd.records:
+            assert rec.run_seconds == min(s for w, _, s in runs if w == rec.n_cores)
 
     def test_weak_smoke(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs, n_days=1)

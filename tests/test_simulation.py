@@ -328,6 +328,33 @@ class TestStepCellsBitExact:
             step_cells(s, f, P, 1.0)
 
 
+class TestCoupler:
+    def test_converts_each_read_only_prect_once(self):
+        from kiloland.simulation import _Coupler
+
+        prect = np.arange(5.0)
+        prect.flags.writeable = False  # as the stream's bracket cache hands it out
+        couple = _Coupler()
+        rate = couple({"PRECT": prect})["PRECT"]
+        assert rate.tobytes() == (np.arange(5.0) / 3.0).tobytes()
+        assert not rate.flags.writeable
+        assert couple({"PRECT": prect})["PRECT"] is rate
+        assert couple({"PRECT": prect.copy()})["PRECT"] is not rate
+        assert prect.tobytes() == np.arange(5.0).tobytes()
+
+    def test_writeable_input_converted_every_time(self):
+        from kiloland.simulation import _Coupler
+
+        couple = _Coupler()
+        prect = np.ones(4)
+        first = couple({"PRECT": prect})["PRECT"]
+        prect[:] = 6.0  # the same object with new values
+        second = couple({"PRECT": prect})["PRECT"]
+        assert first.tobytes() == (np.ones(4) / 3.0).tobytes()
+        assert second.tobytes() == np.full(4, 2.0).tobytes()
+        assert not np.shares_memory(second, prect)
+
+
 class TestCaseConfig:
     def test_file_round_trip(self, tmp_path):
         cfg = CaseConfig(name="abc", n_days=3, lnd_workers=4, partition_scheme="block")
@@ -488,11 +515,12 @@ class TestRunCase:
         log.mkdir()
         open_stream = ForcingStream.open
 
-        def recording(cls, paths, columns=None, window=None):
-            stream = open_stream(paths, columns=columns, window=window)
+        def recording(cls, paths, columns=None, window=None, names=None):
+            stream = open_stream(paths, columns=columns, window=window, names=names)
+            held = {name: len(v) for name, v in stream.values.items()}
             fd, _ = tempfile.mkstemp(dir=log)
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump((window, stream.time.size, columns), fh)
+                pickle.dump((window, stream.time.size, columns, names, held), fh)
             return stream
 
         monkeypatch.setattr(ForcingStream, "open", classmethod(recording))
@@ -505,14 +533,19 @@ class TestRunCase:
             opened = [pickle.loads(p.read_bytes()) for p in log.iterdir()]
             for p in log.iterdir():
                 p.unlink()
-            assert sorted(w for w, _, _ in opened) == sorted(windows * workers)
-            for (start, end), n_records, _ in opened:
-                segment_hours = end - start + cfg.dt_hours
-                assert n_records <= math.ceil(segment_hours / 3) + 1
+            assert sorted(w for w, *_ in opened) == sorted(windows * workers)
+            for (start, end), n_records, _, names, held in opened:
+                limit = math.ceil((end - start + cfg.dt_hours) / 3) + 1
+                assert n_records <= limit
+                # The kernel inputs span the window; the coupler-only
+                # variables hold the end's record and its partner.
+                assert names == FORCING_INPUTS
+                for name, n in held.items():
+                    assert n <= (limit if name in names else 2), (name, n)
             # One rank over the unreplicated file reads its columns as stored.
             cells = partition(613, workers, cfg.partition_scheme, cfg.block_size).local_lists
             for window in windows:
-                got = [columns for w, _, columns in opened if w == window]
+                got = [columns for w, _, columns, *_ in opened if w == window]
                 if workers == 1:
                     assert got == [None]
                 else:
