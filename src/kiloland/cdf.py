@@ -21,6 +21,7 @@ import enum
 import io
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,10 @@ _VARIANT_BY_MAGIC = {v: k for k, v in _MAGIC.items()}
 
 # Bytes converted to big-endian per write: bounds a write's temporary.
 WRITE_CHUNK_BYTES = 4 * 2**20
+
+# A checksum attribute holds this until the writer knows the CRC-32; both
+# are 8 characters, so filling it in keeps the header's length.
+CHECKSUM_PLACEHOLDER = "0" * 8
 
 # CDF-2 field limits: numrecs and vsize are 4-byte fields.
 _MAX_U32_NUMRECS = 0xFFFFFFFE
@@ -341,12 +346,21 @@ class CdfWriter:
     leaves it open.
 
     Byte ranges of distinct variables/records are disjoint, so concurrent
-    producers may be serialized through one writer in any order.
+    producers may be serialized through one writer in any order. The
+    variables named in `checksums` are the exception: each must be written
+    in offset order, and the writer folds the big-endian bytes it writes
+    into a running CRC-32. It sets their `checksum` attribute in `model`
+    to CHECKSUM_PLACEHOLDER, and close() writes the header again with the
+    CRC as 8 hex digits.
     """
 
-    def __init__(self, target, model: CdfModel, numrecs: int = 0):
+    def __init__(self, target, model: CdfModel, numrecs: int = 0, checksums=()):
         self.model = model
         self.numrecs = numrecs
+        self._crc = {}
+        for name in checksums:
+            model.var(name).attrs["checksum"] = CHECKSUM_PLACEHOLDER
+            self._crc[name] = 0
         self.accounting = compute_size(model, numrecs)
         self._record_size = self.accounting.record_size
         self._written = {v.name: 0 for v in model.vars}
@@ -367,17 +381,19 @@ class CdfWriter:
             raise CdfError(f"{name}: data shape {arr.shape} != {shape}")
         if _is_record(self.model, v):
             for rec in range(self.numrecs):
-                self.write_elements(name, 0, arr[rec].ravel(), record=rec)
+                self.write_elements(name, 0, arr[rec], record=rec)
         else:
-            self.write_elements(name, 0, arr.ravel())
+            self.write_elements(name, 0, arr)
 
     def write_elements(self, name: str, start: int, values, record=None) -> None:
-        """Write a flat element range of a variable (one record of it, for
-        record variables) starting at element offset `start`. The values are
-        converted to the file's big-endian type WRITE_CHUNK_BYTES at a time,
-        each chunk written from one reused buffer."""
+        """Write the elements of `values`, in C order, as a flat element
+        range of a variable (one record of it, for record variables)
+        starting at element offset `start`. They are converted to the
+        file's big-endian type WRITE_CHUNK_BYTES at a time, each chunk
+        written from one reused buffer; a strided array is converted block
+        by block, with no contiguous copy of the whole."""
         v = self.model.var(name)
-        arr = np.asarray(values).ravel()
+        arr = np.asarray(values)
         slab = _per_slab_elems(self.model, v)
         if _is_record(self.model, v):
             if record is None:
@@ -393,13 +409,21 @@ class CdfWriter:
             raise CdfError(
                 f"{name}: element range [{start}, {start + arr.size}) exceeds {slab}"
             )
+        crc = self._crc.get(name)
+        if crc is not None and (record or 0) * slab + start != self._written[name]:
+            raise CdfError(
+                f"{name}: checksummed variable written out of order (element "
+                f"{(record or 0) * slab + start}, expected {self._written[name]})"
+            )
         self._fh.seek(base + start * v.nc_type.size)
         step = max(1, WRITE_CHUNK_BYTES // v.nc_type.size)
         chunk = np.empty(min(step, arr.size), dtype=v.nc_type.dtype)
-        for i in range(0, arr.size, step):
-            part = chunk[: arr.size - i]
-            np.copyto(part, arr[i : i + step], casting="unsafe")
+        for part in _converted(arr, chunk):
             self._fh.write(part)
+            if crc is not None:
+                crc = zlib.crc32(part, crc)
+        if crc is not None:
+            self._crc[name] = crc
         self._written[name] += arr.size
 
     def close(self) -> None:
@@ -413,7 +437,39 @@ class CdfWriter:
                 f"{n}: wrote {w} of {e}" for n, (e, w) in missing.items()
             )
             raise CdfError(f"incomplete write ({detail}); every element is required")
+        if self._crc:
+            for name, crc in self._crc.items():
+                self.model.var(name).attrs["checksum"] = f"{crc:08x}"
+            self._fh.seek(0)
+            self._fh.write(_build_header(self.model, self.numrecs))
         self._fh.flush()
+
+
+def _converted(arr: np.ndarray, chunk: np.ndarray):
+    """Yield leading parts of `chunk` that hold, in turn, the elements of
+    `arr` in C order, converted to the chunk's type. A strided array is
+    copied one leading-axis block at a time (a run of leading rows, or one
+    row split further when a row exceeds the chunk)."""
+    if arr.size == 0:
+        return
+    if arr.ndim <= 1 or arr.flags.c_contiguous:
+        flat = arr.reshape(-1)  # a view in both cases
+        for i in range(0, flat.size, chunk.size):
+            part = chunk[: flat.size - i]
+            np.copyto(part, flat[i : i + chunk.size], casting="unsafe")
+            yield part
+        return
+    row = arr[0].size
+    if row > chunk.size:
+        for sub in arr:
+            yield from _converted(sub, chunk)
+        return
+    rows = chunk.size // row
+    for i in range(0, len(arr), rows):
+        block = arr[i : i + rows]
+        part = chunk[: block.size].reshape(block.shape)
+        np.copyto(part, block, casting="unsafe")
+        yield part
 
 
 def write_file(target, model: CdfModel, data: dict, numrecs=None):
@@ -584,11 +640,13 @@ class CdfFile:
         shape = self.shape(name)
         return self.read_slab(name, (0,) * len(shape), shape)
 
-    def read_slab(self, name: str, start: tuple, count: tuple) -> np.ndarray:
-        """Read a rectangular hyperslab (start/count per dimension) into a
-        fresh native-order array. Each contiguous run of the file is read
-        straight into its place in the result, which is then byte-swapped
-        in place."""
+    def read_slab(self, name: str, start: tuple, count: tuple, out=None) -> np.ndarray:
+        """Read a rectangular hyperslab (start/count per dimension) and
+        return it. Each contiguous run of the file is read straight into its
+        place in the result: a fresh native-order array, or `out`, which
+        must be a writeable C-contiguous array of shape `count` holding the
+        variable's type in either byte order. The result is byte-swapped in
+        place only when its byte order differs from the file's."""
         v = self.model.var(name)
         shape = self.shape(name)
         start, count = tuple(start), tuple(count)
@@ -605,7 +663,20 @@ class CdfFile:
         end = v.begin + (n - 1) * self._record_size + per if n else 0
         if end > self._size or per > np.iinfo(np.intp).max:
             raise CdfError(f"variable {name}: {n} x {per} bytes do not fit the file")
-        out = np.empty(count, dtype=np.dtype(v.nc_type.dtype).newbyteorder("="))
+        stored = np.dtype(v.nc_type.dtype)
+        if out is None:
+            out = np.empty(count, dtype=stored.newbyteorder("="))
+        elif not (
+            isinstance(out, np.ndarray)
+            and out.shape == count
+            and out.dtype in (stored, stored.newbyteorder("="))
+            and out.flags.c_contiguous
+            and out.flags.writeable
+        ):
+            raise CdfError(
+                f"{name}: out must be a writeable C-contiguous {stored.newbyteorder('=')} "
+                f"array (either byte order) of shape {count}"
+            )
         if out.size == 0:
             return out
         if record:
@@ -625,7 +696,7 @@ class CdfFile:
                 if self._fh.readinto(dest[pos : pos + nbytes]) != nbytes:
                     raise CdfError(f"variable {name}: truncated data")
                 pos += nbytes
-        if not np.dtype(v.nc_type.dtype).isnative:
+        if out.dtype != stored:
             flat.byteswap(inplace=True)
         return out
 

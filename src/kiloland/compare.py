@@ -1,10 +1,11 @@
 """Output validation: element-wise comparison of two files, variable
 presence diffing, and replication-equivalence checking.
 
-Comparisons stream row slabs of at most 64 MiB so arbitrarily large files
-never need a full in-memory load; a replication check is the same
-comparison run over the replica's k copies. Bit-exact mode compares raw bit
-patterns (equal-bit NaNs compare equal); tolerance modes flag NaN-ness
+Comparisons stream row slabs of at most 64 MiB through buffers allocated
+once per comparison, so arbitrarily large files never need a full in-memory
+load; a replication check is the same comparison run over the replica's k
+copies. Bit-exact mode compares the stored bit patterns (equal-bit NaNs
+compare equal); tolerance modes flag NaN-ness
 mismatches and measure |a-b| against an absolute or relative epsilon with
 denominator max(|a|, |b|, 1e-30).
 """
@@ -110,8 +111,28 @@ def _row_slabs(shape, itemsize):
         yield (r0,) + (0,) * (len(shape) - 1), (min(rows, shape[0] - r0),) + shape[1:]
 
 
-def _compare_var(fa, fb, name, mode, eps, copies=None) -> VarDiff:
-    """Compare variable `name` of fa with fb, slab by slab.
+def _slab_buffers(fa, fb, names):
+    """Two slab byte buffers and one boolean buffer, sized for the largest
+    slab that _row_slabs yields for any of `names` (one row may exceed
+    SLAB_BYTES), in the wider of the two files' types."""
+    nbytes = elems = 0
+    for name in names:
+        size = fa.model.var(name).nc_type.size
+        first = next(_row_slabs(fa.shape(name), size), None)  # the largest
+        if first is not None:
+            m = math.prod(first[1])
+            nbytes = max(nbytes, m * max(size, fb.model.var(name).nc_type.size))
+            elems = max(elems, m)
+    return np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8), np.empty(elems, bool)
+
+
+def _compare_var(fa, fb, name, mode, eps, buffers, copies=None) -> VarDiff:
+    """Compare variable `name` of fa with fb, slab by slab, reading each
+    slab into `buffers` (see _slab_buffers).
+
+    Bit mode compares the stored bytes as unsigned integers, so nothing is
+    byte-swapped; only a slab that differs is decoded, for max_abs_diff.
+    Tolerance modes read in native order into the same buffers.
 
     With `copies` = k, fb holds k copies of fa's variable side by side along
     the innermost axis: copy j is read at offset j*n there, n being fa's
@@ -126,15 +147,19 @@ def _compare_var(fa, fb, name, mode, eps, copies=None) -> VarDiff:
         diff.shape_mismatch = True
         return diff
     diff.n_elements = math.prod(shape) * k
+    stored = [np.dtype(f.model.var(name).nc_type.dtype) for f in (fa, fb)]
+    dtype, dtype_b = stored if mode == "bit" else [t.newbyteorder("=") for t in stored]
+    bits = f"u{dtype.itemsize}"
+    buf_a, buf_b, buf_neq = buffers
     first = None  # (copy, flat index within the copy) of the first bit difference
     pos = 0
-    for start, count in _row_slabs(shape, fa.model.var(name).nc_type.size):
-        a = fa.read_slab(name, start, count).ravel()
-        a_bits = a.view(f"u{a.itemsize}")
+    for start, count in _row_slabs(shape, dtype.itemsize):
+        m = math.prod(count)
+        a = fa.read_slab(name, start, count, out=_view(buf_a, dtype, count)).reshape(-1)
         for j in range(k):
             at = start[:-1] + (start[-1] + j * n,) if j else start
-            b = fb.read_slab(name, at, count).ravel()
-            bit_neq = a_bits != b.view(a_bits.dtype)
+            b = fb.read_slab(name, at, count, out=_view(buf_b, dtype_b, count)).reshape(-1)
+            bit_neq = np.not_equal(a.view(bits), b.view(bits), out=buf_neq[:m])
             n_bit = np.count_nonzero(bit_neq)
             if n_bit:
                 here = (j, pos + int(np.argmax(bit_neq)))
@@ -142,8 +167,10 @@ def _compare_var(fa, fb, name, mode, eps, copies=None) -> VarDiff:
             diff.n_bit_differing += n_bit
             if mode == "bit":
                 diff.n_differing += n_bit
-                if n_bit and a.dtype.kind == "f":
-                    af, bf = a.astype(np.float64), b.astype(np.float64)
+                if n_bit and dtype.kind == "f":
+                    # Equal bits are finite with |a - b| = 0 or not finite,
+                    # so the differing elements alone give the maximum.
+                    af, bf = a[bit_neq].astype(np.float64), b[bit_neq].astype(np.float64)
                     ok = np.isfinite(af) & np.isfinite(bf)
                     if ok.any():
                         d = np.abs(af - bf)[ok]
@@ -160,7 +187,7 @@ def _compare_var(fa, fb, name, mode, eps, copies=None) -> VarDiff:
                     diff.max_rel_diff = max(diff.max_rel_diff, float(rel.max()))
                 beyond = (nan_a ^ nan_b) | (d > eps if mode == "abs" else rel > eps)
                 diff.n_differing += int(beyond.sum())
-        pos += a.size
+        pos += m
     if first is not None:
         j, i = first
         if copies:
@@ -168,6 +195,11 @@ def _compare_var(fa, fb, name, mode, eps, copies=None) -> VarDiff:
         else:
             diff.first_diff_index = i
     return diff
+
+
+def _view(buf: np.ndarray, dtype: np.dtype, count: tuple) -> np.ndarray:
+    """The leading bytes of `buf` as a C-ordered `dtype` array of `count`."""
+    return buf[: math.prod(count) * dtype.itemsize].view(dtype).reshape(count)
 
 
 def _compare(a, b, mode, eps, copies=None) -> CompareReport:
@@ -189,13 +221,13 @@ def _compare(a, b, mode, eps, copies=None) -> CompareReport:
         names_b = [v.name for v in fb.model.vars]
         report.vars_only_in_a = [n for n in names_a if n not in names_b]
         report.vars_only_in_b = [n for n in names_b if n not in names_a]
-        for v in fa.model.vars:
-            if v.name not in names_b:
-                continue
+        shared = [v for v in fa.model.vars if v.name in names_b]
+        buffers = _slab_buffers(fa, fb, [v.name for v in shared])
+        for v in shared:
             k = copies if "gridcell" in v.dims else None
             if k and v.dims[-1] != "gridcell":
                 raise ValueError(f"{v.name}: gridcell must be the innermost dimension")
-            report.per_var[v.name] = _compare_var(fa, fb, v.name, mode, eps, k)
+            report.per_var[v.name] = _compare_var(fa, fb, v.name, mode, eps, buffers, k)
     diffs = report.per_var.values()
     if (
         report.vars_only_in_a

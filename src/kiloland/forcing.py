@@ -538,14 +538,17 @@ def _join(parts: list) -> np.ndarray:
 
 def _read_columns(f: cdf.CdfFile, name: str, n_land: int, columns, r0: int, r1: int):
     """Read records [r0, r1) of a (time, gridcell) variable; a `columns`
-    subset is sliced in row chunks bounded to ~64 MiB."""
+    subset is read in row chunks bounded to ~64 MiB, each into one reused
+    buffer in the file's byte order, and only the kept columns are decoded."""
     if columns is None:
         return f.read_slab(name, (r0, 0), (r1 - r0, n_land))
     columns = np.asarray(columns)
-    chunk = max(1, (64 * 2**20) // max(n_land * 4, 1))
-    return _join(
-        [
-            f.read_slab(name, (a, 0), (min(chunk, r1 - a), n_land))[:, columns]
-            for a in range(r0, r1, chunk)
-        ]
-    )
+    stored = np.dtype(f.model.var(name).nc_type.dtype)
+    chunk = max(1, (64 * 2**20) // max(n_land * stored.itemsize, 1))
+    buf = np.empty((min(chunk, r1 - r0), n_land), dtype=stored)
+    out = np.empty((r1 - r0, columns.size), dtype=stored.newbyteorder("="))
+    for a in range(r0, r1, chunk):
+        rows = min(chunk, r1 - a)
+        f.read_slab(name, (a, 0), (rows, n_land), out=buf[:rows])
+        out[a - r0 : a - r0 + rows] = buf[:rows].take(columns, axis=1)
+    return out

@@ -605,10 +605,6 @@ def _read_init_surface(f: cdf.CdfFile, month: int) -> tuple:
     return cols, f.read_slab("MONTHLY_LAI", (month - 1, 0, 0), (1, n_pft, n))[0]
 
 
-def _crc(arr: np.ndarray, dtype: str) -> str:
-    return f"{zlib.crc32(np.ascontiguousarray(arr).astype(dtype).tobytes()):08x}"
-
-
 class _Run:
     """One simulation run (fresh or resumed)."""
 
@@ -706,7 +702,8 @@ class _Run:
                     raise ValueError("restart bundle does not match the domain")
                 def verified(name):
                     arr = f.read(name)
-                    if _crc(arr, ">f8") != f.model.var(name).attrs["checksum"]:
+                    crc = f"{zlib.crc32(arr.astype('>f8').tobytes()):08x}"
+                    if crc != f.model.var(name).attrs["checksum"]:
                         raise cdf.CdfError(f"restart integrity: checksum mismatch on {name}")
                     return arr
 
@@ -814,11 +811,13 @@ class _Run:
             "sim_hours": float(step * cfg.dt_hours),
         }
 
-    def _write(self, kind, step, dims, variables, **gattrs):
+    def _write(self, kind, step, dims, variables, checksums=(), **gattrs):
         """Write `<case>.<kind>.<date>.nc` inside the `io` region and return
         its name. Each variable is (name, nc_type, dims, attrs, data): a list
         of per-rank arrays goes through the aggregated write (as record 0 of
-        a `time` variable), any other data is written whole."""
+        a `time` variable), any other data is written whole. The writer
+        gives each variable named in `checksums` a `checksum` attribute: the
+        CRC-32 of its big-endian bytes, folded in as they are written."""
         cfg = self.cfg
         name = f"{cfg.name}.{kind}.{_date_tag(cfg.start, step * cfg.dt_hours)}.nc"
         model = cdf.CdfModel(
@@ -829,7 +828,8 @@ class _Run:
         )
         with self.timers.region("io"):
             with open(os.path.join(self.out_dir, name), "wb") as fh:
-                w = cdf.CdfWriter(fh, model, numrecs=int(any(d.unlimited for d in dims)))
+                w = cdf.CdfWriter(fh, model, numrecs=int(any(d.unlimited for d in dims)),
+                                  checksums=checksums)
                 for v, _, vdims, _, data in variables:
                     if isinstance(data, list):
                         record = 0 if vdims[0] == "time" else None
@@ -880,9 +880,8 @@ class _Run:
         ]
         names = {
             "elm_r": self._write("elm.r", step, gridcell, [
-                (k, f8, ("gridcell",), {"checksum": _crc(self.iod.gather(ranks), ">f8")}, ranks)
-                for k, ranks in land
-            ], hist_count=self.count),
+                (k, f8, ("gridcell",), {}, ranks) for k, ranks in land
+            ], checksums=[k for k, _ in land], hist_count=self.count),
             # Coupler restart: last exchanged fields (land-facing units).
             "cpl_r": self._write("cpl.r", step, gridcell, [
                 (f"x2l_{k}", f8, ("gridcell",),

@@ -389,8 +389,11 @@ class TestErrors:
         size = os.path.getsize(path)
         with read_file(path) as f:
             os.truncate(path, int(size * keep))
-            with pytest.raises(CdfError, match="truncated data"):
-                f.read_slab(var, (0,) * len(f.shape(var)), f.shape(var))
+            stored = np.dtype(f.model.var(var).nc_type.dtype)
+            for out in (None, np.empty(f.shape(var), stored),
+                        np.empty(f.shape(var), stored.newbyteorder("="))):
+                with pytest.raises(CdfError, match="truncated data"):
+                    f.read_slab(var, (0,) * len(f.shape(var)), f.shape(var), out=out)
 
     def test_cdf2_numrecs_limit(self):
         model = CdfModel(variant=CDF2, dims=[Dim("t", 0, True)])
@@ -398,6 +401,173 @@ class TestErrors:
         with pytest.raises(CdfError, match="numrecs"):
             compute_size(model, numrecs=2**32)
         assert compute_size(model, numrecs=10).total_bytes > 0
+
+
+ALL_TYPES = [NcType.INT32, NcType.INT64, NcType.FLOAT32, NcType.FLOAT64]
+
+
+def slab_file(nc_type):
+    """A fixed (lev, n) and a record (time, lev, n) variable of one type."""
+    model = CdfModel(variant=CDF5, dims=[Dim("t", 0, True), Dim("lev", 3), Dim("n", 5)])
+    model.vars.append(Var("fixed", nc_type, ("lev", "n")))
+    model.vars.append(Var("rec", nc_type, ("t", "lev", "n")))
+    dtype = np.dtype(nc_type.dtype).newbyteorder("=")
+    data = {"fixed": np.arange(15).reshape(3, 5).astype(dtype),
+            "rec": (np.arange(60).reshape(4, 3, 5) * 3 - 70).astype(dtype)}
+    return write_file(None, model, data, numrecs=4), data
+
+
+class TestSlabOut:
+    @pytest.mark.parametrize("nc_type", ALL_TYPES, ids=lambda t: t.name)
+    def test_out_in_either_byte_order(self, nc_type):
+        blob, data = slab_file(nc_type)
+        stored = np.dtype(nc_type.dtype)
+        with read_file(blob) as f:
+            for name, start, count in [("fixed", (1, 2), (2, 3)), ("rec", (1, 0, 1), (3, 3, 4)),
+                                       ("rec", (0, 0, 0), (4, 3, 5)), ("fixed", (0, 0), (0, 5))]:
+                want = f.read_slab(name, start, count)
+                for dtype in (stored, stored.newbyteorder("=")):
+                    out = np.empty(count, dtype)
+                    got = f.read_slab(name, start, count, out=out)
+                    assert got is out
+                    np.testing.assert_array_equal(got, want)
+                    index = tuple(slice(s, s + c) for s, c in zip(start, count))
+                    np.testing.assert_array_equal(got, data[name][index])
+
+    def test_bad_out_rejected(self):
+        blob, _ = slab_file(NcType.FLOAT64)
+        with read_file(blob) as f:
+            read_only = np.empty((2, 3))
+            read_only.flags.writeable = False
+            for out in (np.empty((3, 2)), np.empty(6), np.empty((2, 3), np.float32),
+                        np.empty((2, 3), np.int64), np.empty((2, 3), ">u8"),
+                        np.empty((2, 6))[:, ::2], np.empty((3, 2)).T, read_only,
+                        [[0.0] * 3] * 2):
+                with pytest.raises(CdfError, match="out must be"):
+                    f.read_slab("fixed", (0, 0), (2, 3), out=out)
+
+
+def written(model, numrecs, name, values) -> bytes:
+    """The bytes of a file whose one variable `name` is written whole from
+    `values`."""
+    buf = io.BytesIO()
+    w = CdfWriter(buf, model, numrecs=numrecs)
+    w.write_full(name, values)
+    w.close()
+    return buf.getvalue()
+
+
+class TestStridedWrites:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nc_type=st.sampled_from(ALL_TYPES),
+        shape=st.lists(st.integers(2, 5), min_size=2, max_size=4),
+        record=st.booleans(),
+        layout=st.sampled_from(["transposed", "stepped", "fortran"]),
+        chunk_bytes=st.sampled_from([3, 8, 40, 4096]),
+    )
+    def test_strided_equals_contiguous(self, nc_type, shape, record, layout, chunk_bytes):
+        dims = [Dim(f"d{i}", 0 if record and i == 0 else n, record and i == 0)
+                for i, n in enumerate(shape)]
+        model = CdfModel(variant=CDF5, dims=dims)
+        model.vars.append(Var("v", nc_type, tuple(d.name for d in dims)))
+        numrecs = shape[0] if record else 0
+        dtype = np.dtype(nc_type.dtype).newbyteorder("=")
+        size = math.prod(shape)
+        if layout == "transposed":
+            values = np.arange(size).astype(dtype).reshape(shape[::-1]).T
+        elif layout == "stepped":
+            values = np.arange(2 * size).astype(dtype).reshape(shape[:-1] + [2 * shape[-1]])[..., ::2]
+        else:
+            values = np.asfortranarray(np.arange(size).astype(dtype).reshape(shape))
+        assert values.shape == tuple(shape) and not values.flags.c_contiguous
+        want = written(model, numrecs, "v", np.ascontiguousarray(values))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cdf, "WRITE_CHUNK_BYTES", chunk_bytes)
+            assert written(model, numrecs, "v", values) == want
+
+    def test_no_contiguous_copy(self, tmp_path, monkeypatch):
+        """A transposed 1 MiB array is written through the 64 KiB chunk with
+        no copy of the whole array."""
+        import tracemalloc
+
+        monkeypatch.setattr(cdf, "WRITE_CHUNK_BYTES", 64 * 2**10)
+        model = CdfModel(variant=CDF5, dims=[Dim("lev", 64), Dim("n", 2048)])
+        model.vars.append(Var("v", NcType.FLOAT64, ("lev", "n")))
+        values = np.arange(64 * 2048, dtype=np.float64).reshape(2048, 64).T
+        with open(tmp_path / "strided.nc", "wb") as fh:
+            tracemalloc.start()
+            try:
+                w = CdfWriter(fh, model)
+                w.write_full("v", values)
+                w.close()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < values.nbytes / 4
+        with open(tmp_path / "contiguous.nc", "wb") as fh:
+            write_file(fh, model, {"v": np.ascontiguousarray(values)})
+        assert (tmp_path / "strided.nc").read_bytes() == (tmp_path / "contiguous.nc").read_bytes()
+
+
+class TestChecksums:
+    def model(self):
+        model = CdfModel(variant=CDF5, dims=[Dim("t", 0, True), Dim("n", 6)])
+        model.vars.append(Var("r", NcType.FLOAT64, ("t", "n")))
+        model.vars.append(Var("s", NcType.FLOAT64, ("n",), {"units": "m"}))
+        model.vars.append(Var("i", NcType.INT32, ("n",)))
+        return model
+
+    def test_checksum_folded_into_the_write(self, monkeypatch):
+        """Each checksum is the CRC-32 of the variable's big-endian bytes; the
+        file equals one written with those values in the header up front."""
+        import zlib
+
+        rng = np.random.default_rng(5)
+        data = {"r": rng.standard_normal((3, 6)), "s": rng.standard_normal(6),
+                "i": np.arange(6, dtype=np.int32)}
+        monkeypatch.setattr(cdf, "WRITE_CHUNK_BYTES", 16)  # several chunks a write
+        buf = io.BytesIO()
+        model = self.model()
+        w = CdfWriter(buf, model, numrecs=3, checksums=["s", "r", "i"])
+        header = w.accounting.header_bytes
+        for name in ("i", "s"):
+            w.write_elements(name, 0, data[name][:4])
+            w.write_elements(name, 4, data[name][4:])
+        w.write_full("r", data["r"])
+        w.close()
+        crc = {name: f"{zlib.crc32(np.asarray(data[name], model.var(name).nc_type.dtype).tobytes()):08x}"
+               for name in data}
+        with read_file(buf.getvalue()) as f:
+            assert {n: f.model.var(n).attrs["checksum"] for n in data} == crc
+            assert f.model.var("s").attrs["units"] == "m"
+        up_front = self.model()
+        for name, value in crc.items():
+            up_front.var(name).attrs["checksum"] = value
+        assert compute_size(up_front, 3).header_bytes == header
+        assert write_file(None, up_front, data) == buf.getvalue()
+
+    @pytest.mark.parametrize("writes", [
+        [("s", 3, None)],
+        [("s", 0, None), ("s", 0, None)],
+        [("r", 0, 1)],
+        [("r", 0, 0), ("r", 3, 1)],
+    ])
+    def test_out_of_order_write_rejected(self, writes):
+        buf = io.BytesIO()
+        w = CdfWriter(buf, self.model(), numrecs=2, checksums=["r", "s"])
+        *first, last = writes
+        for name, start, record in first:
+            w.write_elements(name, start, np.ones(3), record=record)
+        name, start, record = last
+        with pytest.raises(CdfError, match="out of order"):
+            w.write_elements(name, start, np.ones(3), record=record)
+
+    def test_unchecksummed_writes_in_any_order(self):
+        buf = io.BytesIO()
+        w = CdfWriter(buf, self.model(), numrecs=1, checksums=["s"])
+        w.write_elements("i", 3, np.arange(3, 6, dtype=np.int32))
+        w.write_elements("i", 0, np.arange(3, dtype=np.int32))
 
 
 class TestElementWrites:

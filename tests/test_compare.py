@@ -1,7 +1,13 @@
+import math
+import os
+import tempfile
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kiloland import cdf, compare
 from kiloland.cli import main
@@ -282,3 +288,196 @@ def test_slab_streaming_gives_same_reports(tmp_path, rng, monkeypatch):
     assert bad.per_var["m"].n_differing == 2 and bad.per_var["g"].n_differing == 0
     assert [r.verdict for r in default[3:6]] == ["different"] * 3  # NaN mismatch
     assert default[4].per_var["m"].max_rel_diff > 0
+
+
+# ---------------------------------------------------------------------------
+# The comparator against a reference that decodes every slab to native order
+# and to float64, as the comparator did before it compared stored bytes.
+
+
+def reference_var(fa, fb, name, mode, eps, copies=None):
+    diff = compare.VarDiff()
+    shape = fa.shape(name)
+    k = copies or 1
+    n = shape[-1] if shape else 1
+    if fb.shape(name) != (shape[:-1] + (n * k,) if shape else shape):
+        diff.shape_mismatch = True
+        return diff
+    diff.n_elements = math.prod(shape) * k
+    first = None
+    pos = 0
+    for start, count in compare._row_slabs(shape, fa.model.var(name).nc_type.size):
+        a = fa.read_slab(name, start, count).ravel()
+        a_bits = a.view(f"u{a.itemsize}")
+        for j in range(k):
+            at = start[:-1] + (start[-1] + j * n,) if j else start
+            b = fb.read_slab(name, at, count).ravel()
+            bit_neq = a_bits != b.view(a_bits.dtype)
+            n_bit = np.count_nonzero(bit_neq)
+            if n_bit:
+                here = (j, pos + int(np.argmax(bit_neq)))
+                first = min(first or here, here)
+            diff.n_bit_differing += n_bit
+            af, bf = a.astype(np.float64), b.astype(np.float64)
+            if mode == "bit":
+                diff.n_differing += n_bit
+                if n_bit and a.dtype.kind == "f":
+                    ok = np.isfinite(af) & np.isfinite(bf)
+                    if ok.any():
+                        d = np.abs(af - bf)[ok]
+                        diff.max_abs_diff = max(diff.max_abs_diff, float(d.max()))
+            else:
+                nan_a, nan_b = np.isnan(af), np.isnan(bf)
+                d = np.abs(af - bf)
+                d[nan_a | nan_b | (af == bf)] = 0.0
+                rel = d / np.fmax(np.fmax(np.abs(af), np.abs(bf)), 1e-30)
+                rel[np.isinf(d)] = np.inf
+                if d.size:
+                    diff.max_abs_diff = max(diff.max_abs_diff, float(d.max()))
+                    diff.max_rel_diff = max(diff.max_rel_diff, float(rel.max()))
+                beyond = (nan_a ^ nan_b) | (d > eps if mode == "abs" else rel > eps)
+                diff.n_differing += int(beyond.sum())
+        pos += a.size
+    if first is not None:
+        j, i = first
+        if copies:
+            diff.first_diff_copy, diff.first_diff_index = j, j * n + i % n
+        else:
+            diff.first_diff_index = i
+    return diff
+
+
+def reference_compare(a, b, mode, eps, copies=None):
+    report = compare.CompareReport()
+    with cdf.read_file(a) as fa, cdf.read_file(b) as fb:
+        names_b = [v.name for v in fb.model.vars]
+        report.vars_only_in_a = [v.name for v in fa.model.vars if v.name not in names_b]
+        report.vars_only_in_b = [n for n in names_b if n not in [v.name for v in fa.model.vars]]
+        for v in fa.model.vars:
+            if v.name in names_b:
+                k = copies if "gridcell" in v.dims else None
+                report.per_var[v.name] = reference_var(fa, fb, v.name, mode, eps, k)
+    diffs = report.per_var.values()
+    if report.vars_only_in_a or report.vars_only_in_b or any(
+        d.n_differing or d.shape_mismatch for d in diffs
+    ):
+        report.verdict = "different"
+    elif any(d.n_bit_differing for d in diffs):
+        report.verdict = "within_tolerance"
+    return report
+
+
+PROPERTY_TYPES = {
+    cdf.NcType.INT32: np.int32,
+    cdf.NcType.INT64: np.int64,
+    cdf.NcType.FLOAT32: np.float32,
+    cdf.NcType.FLOAT64: np.float64,
+}
+PROPERTY_LAYOUTS = [
+    ("gridcell",), ("time", "gridcell"), ("lev", "gridcell"),
+    ("time", "lev", "gridcell"), ("lev",), (),
+]
+
+
+def special_bits(dtype) -> np.ndarray:
+    """Bit patterns of special values: ±0, ±inf, NaNs with payloads and
+    signs, extremes and ordinary numbers (extremes and ±1 for integers)."""
+    dtype = np.dtype(dtype)
+    u = np.dtype(f"u{dtype.itemsize}")
+    if dtype.kind == "i":
+        info = np.iinfo(dtype)
+        return np.array([0, 1, -1, 7, info.min, info.max], dtype).view(u)
+    info = np.finfo(dtype)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -2.5, info.tiny, info.max],
+                      dtype).view(u)
+    quiet = int(np.array(np.nan, dtype).view(u))
+    sign = 1 << (8 * dtype.itemsize - 1)
+    return np.concatenate([values, np.array([quiet | 1, quiet | 5, quiet | sign, sign | 3], u)])
+
+
+def mutated(bits: np.ndarray, dtype, rng, n_changes: int) -> np.ndarray:
+    """A copy of the bit patterns with up to n_changes elements changed by a
+    one-ulp step, a special value or one flipped bit."""
+    bits = bits.copy()
+    flat = bits.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # nextafter of max or NaN
+        _mutate(flat, dtype, rng, n_changes)
+    return bits
+
+
+def _mutate(flat, dtype, rng, n_changes):
+    pool = special_bits(dtype)
+    for _ in range(n_changes if flat.size else 0):
+        i = int(rng.integers(flat.size))
+        kind = int(rng.integers(3))
+        if kind == 0:  # the next value up: one ulp (or one, for integers)
+            if np.dtype(dtype).kind == "f":
+                x = flat[i : i + 1].view(dtype)
+                flat[i : i + 1] = np.nextafter(x, np.array(np.inf, dtype)).view(flat.dtype)
+            else:
+                flat[i] = flat.dtype.type(flat[i] + flat.dtype.type(1))
+        elif kind == 1:
+            flat[i] = pool[int(rng.integers(pool.size))]
+        else:
+            flat[i] ^= flat.dtype.type(1) << flat.dtype.type(int(rng.integers(8 * flat.itemsize)))
+
+
+@st.composite
+def comparison_case(draw):
+    n = draw(st.integers(1, 4))
+    lev = draw(st.integers(1, 3))
+    numrecs = draw(st.integers(0, 2))
+    k = draw(st.sampled_from([None, 1, 2, 3]))
+    types = draw(st.lists(st.sampled_from(list(PROPERTY_TYPES)), min_size=4, max_size=6))
+    layouts = [draw(st.sampled_from(PROPERTY_LAYOUTS)) for _ in types]
+    types[:4] = list(PROPERTY_TYPES)  # every type, every time
+    tol = "bit_exact" if k else draw(st.sampled_from(
+        ["bit_exact", "abs:0", "abs:1e-6", "abs:0.5", "rel:0", "rel:1e-7", "rel:0.5", "abs:inf"]
+    ))
+    slab_bytes = draw(st.sampled_from([1, 8, 20, 50, compare.SLAB_BYTES]))
+    return dict(n=n, lev=lev, numrecs=numrecs, k=k, types=types, layouts=layouts, tol=tol,
+                slab_bytes=slab_bytes, changes=draw(st.integers(0, 4)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def write_case_file(path, case, arrays, n_cells):
+    model = cdf.CdfModel(variant=cdf.CDF5, dims=[
+        cdf.Dim("time", 0, True), cdf.Dim("lev", case["lev"]), cdf.Dim("gridcell", n_cells)
+    ])
+    for i, (t, dims) in enumerate(zip(case["types"], case["layouts"])):
+        model.vars.append(cdf.Var(f"v{i}", t, dims))
+    with open(path, "wb") as fh:
+        cdf.write_file(fh, model, arrays, numrecs=case["numrecs"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=comparison_case())
+def test_reports_equal_the_decoding_reference(case):
+    """compare_files in bit, abs: and rel: modes and check_replication for
+    k in {1, 2, 3} give the reference comparator's reports, field for field,
+    over every type, NaN payloads, ±inf, ±0, one-ulp changes and slabs that
+    split a variable's rows."""
+    rng = np.random.default_rng(case["seed"])
+    k, n = case["k"], case["n"]
+    sizes = {"time": case["numrecs"], "lev": case["lev"], "gridcell": n}
+    base, other = {}, {}
+    for i, (t, dims) in enumerate(zip(case["types"], case["layouts"])):
+        dtype = PROPERTY_TYPES[t]
+        pool = special_bits(dtype)
+        bits = pool[rng.integers(pool.size, size=tuple(sizes[d] for d in dims))]
+        base[f"v{i}"] = bits.view(dtype)
+        if k and "gridcell" in dims:
+            bits = np.concatenate([bits] * k, axis=-1)
+        other[f"v{i}"] = mutated(bits, dtype, rng, case["changes"]).view(dtype)
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = os.path.join(tmp, "a.nc"), os.path.join(tmp, "b.nc")
+        write_case_file(a, case, base, n)
+        write_case_file(b, case, other, n * (k or 1))
+        with mock.patch.object(compare, "SLAB_BYTES", case["slab_bytes"]):
+            if k:
+                got = check_replication(a, b, k)
+                want = reference_compare(a, b, "bit", 0.0, copies=k)
+            else:
+                got = compare_files(a, b, case["tol"])
+                want = reference_compare(a, b, *compare._parse_tol(case["tol"]))
+    assert repr(asdict(got)) == repr(asdict(want))

@@ -3,6 +3,7 @@ import os
 import pickle
 import re
 import tempfile
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -718,10 +719,10 @@ def record_slab_reads(monkeypatch, title="kiloland surface properties") -> list:
     reads = []
     read_slab = cdf.CdfFile.read_slab
 
-    def recording(self, name, start, count):
+    def recording(self, name, start, count, out=None):
         if self.model.gattrs.get("title") == title:
             reads.append((name, tuple(start), tuple(count)))
-        return read_slab(self, name, start, count)
+        return read_slab(self, name, start, count, out=out)
 
     monkeypatch.setattr(cdf.CdfFile, "read_slab", recording)
     return reads
@@ -896,6 +897,46 @@ class TestRestart:
         assert res.history_paths == []
         assert open(hist, "rb").read() == before
         assert res.restart_dates == ["2014-01-03-00000"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restart_gathers_each_land_variable_once(self, mini_inputs, tmp_path,
+                                                     monkeypatch, workers):
+        """The elm.r checksums are folded into the write: one gather per
+        variable, and each checksum is the CRC-32 of that variable's
+        gathered big-endian bytes."""
+        from kiloland import decomp, simulation
+
+        gathered = []
+        gather = decomp.IoDecomp.gather
+
+        def recording_gather(self, local_datas):
+            out = gather(self, local_datas)
+            gathered.append(out.copy())
+            return out
+
+        writes = []  # (kind, file name, the gathers since the previous write)
+        write = simulation._Run._write
+
+        def recording_write(self, kind, *args, **kwargs):
+            name = write(self, kind, *args, **kwargs)
+            done = sum(len(arrays) for *_, arrays in writes)
+            writes.append((kind, name, gathered[done:]))
+            return name
+
+        monkeypatch.setattr(decomp.IoDecomp, "gather", recording_gather)
+        monkeypatch.setattr(simulation._Run, "_write", recording_write)
+        cfg = make_case_config(mini_inputs, n_days=2, lnd_workers=workers)
+        res = run_case(cfg, str(tmp_path / "r"))
+        land = [(name, arrays) for kind, name, arrays in writes if kind == "elm.r"]
+        assert len(land) == 1
+        name, arrays = land[0]
+        names = list(STATE_VARS) + [f"hsum_{v}" for v in HIST_VARS]
+        assert len(arrays) == len(names) == 11
+        with cdf.read_file(os.path.join(res.out_dir, name)) as f:
+            for var, arr in zip(names, arrays):
+                crc = zlib.crc32(arr.astype(">f8").tobytes())
+                assert f.model.var(var).attrs["checksum"] == f"{crc:08x}", var
+                np.testing.assert_array_equal(f.read(var), arr)
 
     def test_tampered_restart_detected(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs, n_days=2)
