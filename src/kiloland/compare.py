@@ -165,28 +165,31 @@ def _compare_var(fa, fb, name, mode, eps, buffers, copies=None) -> VarDiff:
                 here = (j, pos + int(np.argmax(bit_neq)))
                 first = min(first or here, here)
             diff.n_bit_differing += n_bit
-            if mode == "bit":
-                diff.n_differing += n_bit
-                if n_bit and dtype.kind == "f":
-                    # Equal bits are finite with |a - b| = 0 or not finite,
-                    # so the differing elements alone give the maximum.
-                    af, bf = a[bit_neq].astype(np.float64), b[bit_neq].astype(np.float64)
-                    ok = np.isfinite(af) & np.isfinite(bf)
-                    if ok.any():
-                        d = np.abs(af - bf)[ok]
+            # Infinities and NaN payloads decode to values whose
+            # differences are NaN (inf - inf, inf / inf): accounted for below.
+            with np.errstate(invalid="ignore"):
+                if mode == "bit":
+                    diff.n_differing += n_bit
+                    if n_bit and dtype.kind == "f":
+                        # Equal bits are finite with |a - b| = 0 or not finite,
+                        # so the differing elements alone give the maximum.
+                        af, bf = a[bit_neq].astype(np.float64), b[bit_neq].astype(np.float64)
+                        ok = np.isfinite(af) & np.isfinite(bf)
+                        if ok.any():
+                            d = np.abs(af - bf)[ok]
+                            diff.max_abs_diff = max(diff.max_abs_diff, float(d.max()))
+                else:
+                    af, bf = a.astype(np.float64), b.astype(np.float64)
+                    nan_a, nan_b = np.isnan(af), np.isnan(bf)  # NaN-ness is counted apart
+                    d = np.abs(af - bf)
+                    d[nan_a | nan_b | (af == bf)] = 0.0  # so do equal infinities
+                    rel = d / np.fmax(np.fmax(np.abs(af), np.abs(bf)), 1e-30)
+                    rel[np.isinf(d)] = np.inf
+                    if d.size:
                         diff.max_abs_diff = max(diff.max_abs_diff, float(d.max()))
-            else:
-                af, bf = a.astype(np.float64), b.astype(np.float64)
-                nan_a, nan_b = np.isnan(af), np.isnan(bf)  # NaN-ness is counted apart
-                d = np.abs(af - bf)
-                d[nan_a | nan_b | (af == bf)] = 0.0  # so do equal infinities
-                rel = d / np.fmax(np.fmax(np.abs(af), np.abs(bf)), 1e-30)
-                rel[np.isinf(d)] = np.inf
-                if d.size:
-                    diff.max_abs_diff = max(diff.max_abs_diff, float(d.max()))
-                    diff.max_rel_diff = max(diff.max_rel_diff, float(rel.max()))
-                beyond = (nan_a ^ nan_b) | (d > eps if mode == "abs" else rel > eps)
-                diff.n_differing += int(beyond.sum())
+                        diff.max_rel_diff = max(diff.max_rel_diff, float(rel.max()))
+                    beyond = (nan_a ^ nan_b) | (d > eps if mode == "abs" else rel > eps)
+                    diff.n_differing += int(beyond.sum())
         pos += m
     if first is not None:
         j, i = first

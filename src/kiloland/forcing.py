@@ -19,6 +19,9 @@ single precision.
 from __future__ import annotations
 
 import calendar
+import datetime
+import glob
+import os
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -38,7 +41,9 @@ __all__ = [
     "downscale_day",
     "downscale_month",
     "forcing_filename",
+    "forcing_files",
     "gen_forcing_files",
+    "month_start",
     "read_forcing_month",
     "synth_forcing",
     "write_forcing_month",
@@ -320,19 +325,34 @@ def write_forcing_month(fm: ForcingMonth, path: str, variant: str = cdf.CDF5) ->
 
 def read_forcing_month(path: str) -> ForcingMonth:
     with cdf.read_file(path) as f:
-        a = f.model.gattrs
+        start = month_start(f, path)
         values = {name: f.read(name) for name in VARIABLES}
         time_axis = f.read("time")
-        return ForcingMonth(
-            int(a["year"]), int(a["month"]), f.numrecs, values, time_axis
-        )
+        return ForcingMonth(start.year, start.month, f.numrecs, values, time_axis)
+
+
+def forcing_files(forcing_dir: str) -> list:
+    """The monthly forcing files in `forcing_dir`, in calendar order."""
+    pattern = "forcing_*_[0-9][0-9][0-9][0-9]-[0-9][0-9].nc"
+    paths = sorted(glob.glob(os.path.join(forcing_dir, pattern)), key=lambda p: p[-10:-3])
+    if not paths:
+        raise FileNotFoundError(f"no forcing files in {forcing_dir}")
+    return paths
+
+
+def month_start(f: cdf.CdfFile, path: str) -> datetime.date:
+    """The first day of the month the forcing file `f` (opened from `path`)
+    holds, from the `year` and `month` attributes `write_forcing_month`
+    writes; a file without them raises CdfError."""
+    a = f.model.gattrs
+    if "year" not in a or "month" not in a:
+        raise cdf.CdfError(f"forcing file {path} lacks its year or month attribute")
+    return datetime.date(int(a["year"]), int(a["month"]), 1)
 
 
 def month_offset_hours(period_start: tuple, year: int, month: int) -> float:
     """Hours from the period start (year, month, day 1, 00:00) to the first
     record of the given month."""
-    import datetime
-
     t0 = datetime.date(period_start[0], period_start[1], 1)
     t1 = datetime.date(year, month, 1)
     return (t1 - t0).days * 24.0
@@ -344,8 +364,6 @@ def gen_forcing_files(seed: int, d: DomainSpec, months: list, out_dir) -> list:
     Month files are positioned on the calendar relative to the first
     requested month, so a missing month leaves a detectable gap.
     """
-    import os
-
     os.makedirs(str(out_dir), exist_ok=True)
     paths = []
     period_start = months[0]
@@ -359,7 +377,8 @@ def gen_forcing_files(seed: int, d: DomainSpec, months: list, out_dir) -> list:
 
 
 class ForcingStream:
-    """Reader over consecutive monthly files serving interpolated fields.
+    """Reader over consecutive monthly files serving interpolated fields
+    over a closed time window [start, end] (hours).
 
     The record values are immutable after open; several streams over the
     same files are safe. Each stream caches, per variable, the float64
@@ -374,20 +393,18 @@ class ForcingStream:
     the final record of the data over its trailing interval; nearest-mode
     variables take the record whose left-closed 3-hour bin contains t.
 
-    A full stream covers [first record, last record + 3h). A windowed
-    stream (`window=(start, end)`, hours) covers exactly the closed window
-    [start, end]: it holds the records from the one whose bin contains
-    `start` through the one after the record whose bin contains `end` (the
-    interpolation partner), so inside the window it serves the same fields,
-    bit for bit, as the full stream. The trailing hold therefore applies
-    only at the real end of the data, never at a window's edge.
+    The stream holds the records from the one whose bin contains `start`
+    through the one after the record whose bin contains `end` (the
+    interpolation partner), so it serves the same fields, bit for bit, as
+    a stream over the whole data. The trailing hold therefore applies only
+    at the real end of the data, never at a window's edge.
 
-    A windowed stream may serve some variables only at `end` (`end_only`):
-    each of them holds just the record whose bin contains `end` and its
-    partner, and `fields_at` raises ValueError for it at any earlier t.
+    `fields_at` serves the variables in `names` at every t before `end`,
+    and every variable, in VARIABLES order, at `end`. The others are held
+    only from the record whose bin contains `end`.
     """
 
-    def __init__(self, time_axis: np.ndarray, values: dict, window=None, end_only=()):
+    def __init__(self, time_axis: np.ndarray, values: dict, window: tuple, names):
         self.time = np.asarray(time_axis, dtype=np.float64)
         if self.time.size == 0:
             raise ValueError("empty forcing stream")
@@ -395,35 +412,27 @@ class ForcingStream:
             raise ValueError("forcing time axis must be strictly increasing")
         self.values = values
         self.n_cols = next(iter(values.values())).shape[1]
-        self.window = None if window is None else (float(window[0]), float(window[1]))
-        self.end_only = frozenset(end_only)  # needs a window; see open
-        # Index in `time` of each variable's first stored record; an
-        # end-only variable holds the trailing records.
+        self.window = (float(window[0]), float(window[1]))
+        self.names = tuple(names)
+        # Index in `time` of each variable's first stored record; a variable
+        # served only at the end holds the trailing records.
         self._first = {name: self.time.size - len(v) for name, v in values.items()}
         self._brackets = {}  # name -> [j, a, b - a or None, b or None]
 
     @classmethod
-    def open(cls, paths: list, columns=None, window=None, names=None) -> "ForcingStream":
-        """Concatenate monthly files; `columns` restricts to a gridcell
-        subset (e.g. one rank's cells, in local order) and `window` to the
-        records that serve the closed time window (start, end) in hours.
-        `names`, with a window, lists the variables served over the whole
-        window; every other variable is served only at `end` (see the class
-        docstring). Without `names` every variable is served throughout.
+    def open(cls, paths: list, window: tuple, names, columns=None) -> "ForcingStream":
+        """Concatenate monthly files into a stream over `window` serving
+        `names` (see the class docstring); `columns` restricts to a gridcell
+        subset (e.g. one rank's cells, in local order).
 
         Every file's time axis is read (months must follow each other
         without a gap); each variable's records are read with one slab per
         file that holds any of them, so a file outside the window gives no
         data reads.
         """
-        end_only = ()
-        if names is not None:
-            unknown = sorted(set(names) - set(VARIABLES))
-            if unknown:
-                raise ValueError(f"unknown forcing variables {unknown}")
-            if window is None:
-                raise ValueError("serving a subset of the variables needs a window")
-            end_only = tuple(name for name in VARIABLES if name not in names)
+        unknown = sorted(set(names) - set(VARIABLES))
+        if unknown:
+            raise ValueError(f"unknown forcing variables {unknown}")
         with ExitStack() as stack:
             files = [stack.enter_context(cdf.read_file(p)) for p in paths]
             times = []
@@ -438,10 +447,9 @@ class ForcingStream:
                 times.append(t)
             time_axis = np.concatenate(times)
             lo, hi = _record_range(time_axis, window)
-            first = dict.fromkeys(VARIABLES, lo)
-            if end_only:  # from the record whose bin holds the end
-                end_record = int(np.searchsorted(time_axis, window[1], side="right")) - 1
-                first.update(dict.fromkeys(end_only, end_record))
+            # The variables not named start at the record whose bin holds the end.
+            end_record = int(np.searchsorted(time_axis, window[1], side="right")) - 1
+            first = {name: lo if name in names else end_record for name in VARIABLES}
             parts = {name: [] for name in VARIABLES}
             offset = 0
             for f, t in zip(files, times):
@@ -452,31 +460,20 @@ class ForcingStream:
                         parts[name].append(_read_columns(f, name, n_land, columns, r0, r1))
                 offset += t.size
         values = {name: _join(parts[name]) for name in VARIABLES}
-        return cls(time_axis[lo:hi], values, window, end_only)
+        return cls(time_axis[lo:hi], values, window, names)
 
-    @property
-    def coverage(self) -> tuple:
-        if self.window is not None:
-            return self.window
-        return float(self.time[0]), float(self.time[-1] + STEP_HOURS)
-
-    def fields_at(self, t_hours: float, names=None) -> dict:
-        """Per-variable float64 fields at simulation time t (hours), for the
-        variables in `names` (all of VARIABLES when None)."""
-        lo, hi = self.coverage
-        closed = self.window is not None
-        if not (lo <= t_hours <= hi if closed else lo <= t_hours < hi):
-            raise ValueError(
-                f"t={t_hours}h outside forcing coverage [{lo}h, {hi}h{']' if closed else ')'}"
-            )
+    def fields_at(self, t_hours: float) -> dict:
+        """Per-variable float64 fields at simulation time t (hours): `names`
+        before the window's end, every variable at it."""
+        lo, hi = self.window
+        if not lo <= t_hours <= hi:
+            raise ValueError(f"t={t_hours}h outside forcing window [{lo}h, {hi}h]")
         j = int(np.searchsorted(self.time, t_hours, side="right") - 1)
         out = {}
         # A window always holds the partner of its last bracketing record,
         # so j is the final stored record only at the end of the data.
         exact = self.time[j] == t_hours or j == self.time.size - 1
-        for name in VARIABLES if names is None else names:
-            if name in self.end_only and t_hours < hi:
-                raise ValueError(f"{name} is served only at {hi}h, not at {t_hours}h")
+        for name in self.names if t_hours < hi else VARIABLES:
             if VARIABLES[name].interp_mode == NEAREST or exact:
                 out[name] = self._bracket(name, j, False)[0]
             else:
@@ -513,13 +510,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _record_range(time_axis: np.ndarray, window) -> tuple:
+def _record_range(time_axis: np.ndarray, window: tuple) -> tuple:
     """Records [lo, hi) that serve every t of the closed window: from the
     record whose bin holds the start through the partner of the record
-    whose bin holds the end, clipped to the data; all of them without a
-    window."""
-    if window is None:
-        return 0, time_axis.size
+    whose bin holds the end, clipped to the data."""
     start, end = window
     first, stop = float(time_axis[0]), float(time_axis[-1] + STEP_HOURS)
     if not first <= start <= end < stop:

@@ -29,7 +29,6 @@ It is a structural stand-in, not land-model science.
 from __future__ import annotations
 
 import datetime
-import glob
 import hashlib
 import mmap
 import multiprocessing
@@ -46,7 +45,7 @@ from .decomp import (
     DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, build_iodecomp, make_plan, partition, rearrange_write,
 )
 from .domain import read_domain, read_domain_header, replicate, write_domain
-from .forcing import STEP_HOURS, ForcingStream, VARIABLES
+from .forcing import STEP_HOURS, ForcingStream, VARIABLES, forcing_files, month_start
 from .perf import TimerTree, merge_timers
 
 __all__ = [
@@ -384,11 +383,6 @@ class _Coupler:
         return fields
 
 
-def _couple(fields: dict) -> dict:
-    """One coupler delivery, with nothing carried over from another."""
-    return _Coupler()(fields)
-
-
 def _run_worker_segment(task: _WorkerTask) -> _Rank:
     """Step one rank through [step_lo, step_hi); returns the updated rank."""
     rank = task.rank
@@ -397,14 +391,13 @@ def _run_worker_segment(task: _WorkerTask) -> _Rank:
     with atm.timed():
         # Only the segment's last step feeds the coupler restart (cpl.r), so
         # the other variables are read only for the window's end.
-        stream = ForcingStream.open(task.forcing_paths, columns=rank.columns, window=window,
-                                    names=FORCING_INPUTS)
+        stream = ForcingStream.open(task.forcing_paths, window, FORCING_INPUTS,
+                                    columns=rank.columns)
     couple = _Coupler()
-    state, sums, last = rank.state, rank.sums, task.step_hi - 1
+    state, sums = rank.state, rank.sums
     for step in range(task.step_lo, task.step_hi):
-        names = None if step == last else FORCING_INPUTS
         with atm.timed():
-            fields = stream.fields_at(step * task.dt_hours, names)
+            fields = stream.fields_at(step * task.dt_hours)
         with cpl.timed():
             bundle = couple(fields)
         with lnd.timed():
@@ -573,17 +566,6 @@ def _date_tag(start: str, hours: float) -> str:
     return f"{d0 + datetime.timedelta(days=days):%Y-%m-%d}-{rem * 3600:05d}"
 
 
-def _forcing_paths(forcing_dir: str) -> list:
-    paths = glob.glob(os.path.join(forcing_dir, "forcing_*_????-??.nc"))
-    def key(p):
-        m = re.search(r"(\d{4})-(\d{2})\.nc$", p)
-        return (int(m.group(1)), int(m.group(2)))
-    paths = sorted(paths, key=key)
-    if not paths:
-        raise FileNotFoundError(f"no forcing files in {forcing_dir}")
-    return paths
-
-
 def _source_columns(n_land: int, n_copies: int, file_n: int, what: str) -> np.ndarray:
     """Global cell -> column in the base data file."""
     if file_n == n_land:
@@ -624,9 +606,16 @@ class _Run:
         with self.timers.region("init"):
             # The run needs only the domain's header, none of its variables.
             self.n_land, self.id_space, self.n_copies = read_domain_header(cfg.domain)
-            self.forcing_paths = _forcing_paths(cfg.forcing_dir)
+            self.forcing_paths = forcing_files(cfg.forcing_dir)
             with cdf.read_file(self.forcing_paths[0]) as f:
                 file_n = f.model.dim("gridcell").length
+                first_day = month_start(f, self.forcing_paths[0])
+            # Hour 0 of the run is the first forcing record.
+            if datetime.date.fromisoformat(cfg.start) != first_day:
+                raise ValueError(
+                    f"case start {cfg.start} is not {first_day}, the first day of the"
+                    f" first forcing file"
+                )
             columns = _source_columns(self.n_land, self.n_copies, file_n, "forcing")
             self.part = partition(
                 self.n_land, cfg.lnd_workers, cfg.partition_scheme, cfg.block_size
@@ -980,10 +969,6 @@ def leaf_fixed_point(fsds: float, soil_wetness: float, p: ToyParams) -> float:
 class SpinupReport:
     rel_change: dict  # pool -> per-cycle-boundary relative change
     converged: dict  # pool -> bool at the tolerance
-
-    def max_change(self, pool: str) -> float:
-        seq = self.rel_change[pool]
-        return float(seq[-1]) if len(seq) else 0.0
 
 
 def spinup_check(pool_series: dict, tol: float = 0.01) -> SpinupReport:

@@ -51,6 +51,28 @@ def write_case_inputs(domain, root, seed=7, months=((2014, 1),)):
     write_surface(ds, os.path.join(str(root), "surface.nc"))
 
 
+def output_bytes(out_dir) -> dict:
+    """Name -> bytes of a run's history, restart and rpointer files."""
+    return {
+        name: open(os.path.join(out_dir, name), "rb").read()
+        for name in sorted(os.listdir(out_dir))
+        if name.endswith(".nc") or name.startswith("rpointer.")
+    }
+
+
+def drop_gattrs(path, *names):
+    """Rewrite the file at `path` without the named global attributes."""
+    from kiloland import cdf
+
+    with cdf.read_file(path) as f:
+        model, numrecs = f.model, f.numrecs
+        data = {v.name: f.read(v.name) for v in model.vars}
+    for name in names:
+        del model.gattrs[name]
+    with open(path, "wb") as fh:
+        cdf.write_file(fh, model, data, numrecs=numrecs)
+
+
 def make_case_config(root, **overrides):
     from kiloland.simulation import CaseConfig
 

@@ -11,6 +11,8 @@ from kiloland import cdf
 from kiloland.cli import main
 from kiloland.compare import files_bit_identical
 
+from conftest import drop_gattrs
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -30,7 +32,7 @@ def write_cfg(path, root, **over):
         "case.domain": os.path.join(root, "domain.nc"),
         "case.forcing_dir": root,
         "case.surface": os.path.join(root, "surface.nc"),
-        "case.start": "2014-01-01",
+        "case.start": over.get("start", "2014-01-01"),
         "case.n_days": over.get("n_days", 2),
         "case.dt_hours": 1,
         "case.history_interval": "end_of_run",
@@ -165,6 +167,23 @@ class TestRunAndCompare:
         assert run_cli("run", "--case", cfg, "--out", out) == 0
         assert run_cli("resume", "--case", cfg, "--extra-days", "1", "--out", out) == 0
         assert os.path.exists(os.path.join(out, "cli.elm.h0.2014-01-04-00000.nc"))
+
+    def test_start_off_the_forcing_month_exits_one(self, pipeline, capsys):
+        root, _, tmp_path = pipeline
+        cfg = write_cfg(str(tmp_path / "late.cfg"), root, start="2014-01-15")
+        out = tmp_path / "late"
+        assert run_cli("run", "--case", cfg, "--out", str(out)) == 1
+        assert "case start 2014-01-15 is not 2014-01-01" in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_forcing_without_month_exits_three(self, pipeline, capsys):
+        root, cfg, tmp_path = pipeline
+        path = os.path.join(root, "forcing_met_2014-01.nc")
+        drop_gattrs(path, "month")
+        capsys.readouterr()
+        assert run_cli("run", "--case", cfg, "--out", str(tmp_path / "r")) == 3
+        err = capsys.readouterr().err
+        assert path in err and "year or month" in err
 
     @pytest.mark.parametrize("drop", ["checksum", "variable"])
     def test_resume_from_incomplete_restart_is_integrity_error(self, pipeline, capsys, drop):

@@ -234,14 +234,15 @@ class TestSynth:
 
 
 def ramp_stream(n_land=3):
-    """Six 3-hourly records forming an exact linear ramp per variable."""
+    """Six 3-hourly records forming an exact linear ramp per variable, served
+    over [0h, 17.9h]."""
     time = np.arange(6) * STEP_HOURS
     values = {}
     for k, name in enumerate(VARIABLES):
         base = 270.0 + 10 * k
         ramp = base + 0.75 * np.arange(6)[:, None] + np.arange(n_land)[None, :]
         values[name] = ramp.astype(np.float32)
-    return ForcingStream(time, values)
+    return ForcingStream(time, values, (0.0, 17.9), VARIABLES)
 
 
 class TestInterpolation:
@@ -259,7 +260,7 @@ class TestInterpolation:
         values = {
             name: np.array([[270.0], [274.0]], dtype=np.float32) for name in VARIABLES
         }
-        s = ForcingStream(time, values)
+        s = ForcingStream(time, values, (0.0, 3.0), VARIABLES)
         assert s.fields_at(1.5)["TBOT"][0] == 272.0
 
     def test_hourly_sampling_matches_brute_force(self):
@@ -300,9 +301,9 @@ class TestInterpolation:
 
     def test_out_of_range_names_coverage(self):
         s = ramp_stream()
-        with pytest.raises(ValueError, match=r"coverage \[0.0h, 18.0h\)"):
+        with pytest.raises(ValueError, match=r"window \[0.0h, 17.9h\]"):
             s.fields_at(18.0)
-        with pytest.raises(ValueError, match="coverage"):
+        with pytest.raises(ValueError, match="window"):
             s.fields_at(-0.5)
 
     def test_fields_at_ramp_midpoint(self):
@@ -330,15 +331,14 @@ class TestFiles:
 
     def test_stream_across_months(self, aksp_mini, tmp_path):
         paths = gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 2)], tmp_path)
-        s = ForcingStream.open(paths)
+        s = ForcingStream.open(paths, (0.0, (248 + 224) * 3.0 - 1.0), VARIABLES)
         assert s.time.size == 248 + 224
-        assert s.coverage == (0.0, (248 + 224) * 3.0)
         np.testing.assert_array_equal(np.diff(s.time), 3.0)
 
     def test_stream_gap_detected(self, aksp_mini, tmp_path):
         paths = gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 3)], tmp_path)
         with pytest.raises(ValueError, match="gap"):
-            ForcingStream.open(paths)
+            ForcingStream.open(paths, (0.0, 1.0), VARIABLES)
 
     def test_cdf2_month_readable_by_third_party(self, aksp_mini, tmp_path):
         scipy_io = pytest.importorskip("scipy.io")
@@ -353,8 +353,8 @@ class TestFiles:
     def test_column_subset_matches_full(self, aksp_mini, tmp_path):
         paths = gen_forcing_files(3, aksp_mini, [(2014, 1)], tmp_path)
         cols = np.array([5, 0, 200, 612])
-        full = ForcingStream.open(paths)
-        sub = ForcingStream.open(paths, columns=cols)
+        full = ForcingStream.open(paths, (0.0, 743.0), VARIABLES)
+        sub = ForcingStream.open(paths, (0.0, 743.0), VARIABLES, columns=cols)
         for name in VARIABLES:
             np.testing.assert_array_equal(sub.values[name], full.values[name][:, cols])
         f_full = full.fields_at(7.0)
@@ -381,7 +381,8 @@ _hours = st.one_of(
 def two_months(tmp_path_factory, aksp_mini):
     out = tmp_path_factory.mktemp("two_months")
     paths = gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 2)], out)
-    return paths, ForcingStream.open(paths)
+    # The whole data, to its last quarter-hour, served for every variable.
+    return paths, ForcingStream.open(paths, (0.0, _DATA_END - 0.25), VARIABLES)
 
 
 def _window_times(start, end, records):
@@ -394,8 +395,8 @@ def _window_times(start, end, records):
 
 @st.composite
 def _call_sequences(draw):
-    """(t, names) calls: forward and backward hours, repeats, record steps
-    and jumps, each with all variables (None) or a random subset."""
+    """Times asked for: forward and backward hours, repeats, record steps
+    and jumps."""
     t = draw(_hours)
     calls = []
     for _ in range(draw(st.integers(1, 24))):
@@ -408,28 +409,27 @@ def _call_sequences(draw):
             t = min((t // STEP_HOURS + 1) * STEP_HOURS, _DATA_END - STEP_HOURS)
         elif move == "jump":
             t = draw(_hours)
-        names = draw(
-            st.none() | st.lists(st.sampled_from(list(VARIABLES)), min_size=1, unique=True)
-        )
-        calls.append((t, names))
+        calls.append(t)
     return calls
+
+
+_names = st.lists(st.sampled_from(list(VARIABLES)), min_size=1, unique=True)
 
 
 class TestBracketCache:
     @settings(max_examples=60, deadline=None)
-    @given(calls=_call_sequences(), windowed=st.booleans())
-    def test_cached_fields_match_fresh_stream(self, two_months, calls, windowed):
+    @given(calls=_call_sequences(), names=_names, windowed=st.booleans())
+    def test_cached_fields_match_fresh_stream(self, two_months, calls, names, windowed):
         paths, full = two_months
-        times = [t for t, _ in calls]
         if windowed:
             # The window's edges are the first and last times asked for.
-            s = ForcingStream.open(paths, window=(min(times), max(times)))
+            s = ForcingStream.open(paths, (min(calls), max(calls)), names)
         else:
-            s = ForcingStream(full.time, full.values)
-        for t, names in calls:
-            got = s.fields_at(t, names)
-            want = ForcingStream(full.time, full.values).fields_at(t)
-            assert list(got) == list(VARIABLES if names is None else names)
+            s = ForcingStream(full.time, full.values, full.window, names)
+        for t in calls:
+            got = s.fields_at(t)
+            want = ForcingStream(full.time, full.values, full.window, VARIABLES).fields_at(t)
+            assert list(got) == list(names if t < s.window[1] else VARIABLES)
             j = int(np.searchsorted(s.time, t, side="right")) - 1
             exact = s.time[j] == t or j == s.time.size - 1
             for name, arr in got.items():
@@ -451,7 +451,7 @@ class TestBracketCache:
             return widen(self, name, j)
 
         monkeypatch.setattr(ForcingStream, "_widen", counting)
-        s = ForcingStream(full.time, full.values)
+        s = ForcingStream(full.time, full.values, full.window, VARIABLES)
         served = [s.fields_at(float(t)) for t in range(101)]
         assert set(widened.values()) == {1}
         # t = 100h lies inside record 33's bin: the linear variables also
@@ -469,7 +469,7 @@ _columns = st.none() | st.lists(st.integers(0, 612), min_size=1, max_size=12, un
 
 
 class TestCouplerOnlyVariables:
-    """A stream opened with `names` serves the other variables only at the
+    """A stream serves the variables not in its `names` only at the
     window's end."""
 
     @settings(max_examples=40, deadline=None)
@@ -484,31 +484,22 @@ class TestCouplerOnlyVariables:
         paths, full = two_months
         start, end = min(a, b), max(a, b)
         idx = slice(None) if cols is None else np.array(cols)
-        s = ForcingStream.open(paths, columns=cols, window=(start, end), names=FORCING_INPUTS)
+        s = ForcingStream.open(paths, (start, end), FORCING_INPUTS, columns=cols)
         coupler_only = [name for name in VARIABLES if name not in FORCING_INPUTS]
-        assert s.end_only == set(coupler_only)
+        assert s.names == FORCING_INPUTS
         for name, v in s.values.items():
             assert len(v) <= (2 if name in coupler_only else s.time.size), name
         for t in _window_times(start, end, full.time):
-            got = s.fields_at(float(t), FORCING_INPUTS)
+            got = s.fields_at(float(t))
             want = full.fields_at(float(t))
-            for name in FORCING_INPUTS:
+            assert list(got) == list(FORCING_INPUTS if t < end else VARIABLES), t
+            for name in got:
                 assert got[name].tobytes() == want[name][idx].tobytes(), (name, t)
-            if t < end:
-                for name in coupler_only:
-                    with pytest.raises(ValueError, match=f"{name} is served only at {end}h"):
-                        s.fields_at(float(t), [name])
-        got, want = s.fields_at(end), full.fields_at(end)
-        assert list(got) == list(VARIABLES)
-        for name in VARIABLES:
-            assert got[name].tobytes() == want[name][idx].tobytes(), name
 
     def test_bad_names_rejected(self, two_months):
         paths, _ = two_months
-        with pytest.raises(ValueError, match="needs a window"):
-            ForcingStream.open(paths, names=["TBOT"])
         with pytest.raises(ValueError, match="unknown forcing variables"):
-            ForcingStream.open(paths, window=(0.0, 5.0), names=["TBOT", "RAIN"])
+            ForcingStream.open(paths, (0.0, 5.0), ["TBOT", "RAIN"])
 
 
 class TestWindow:
@@ -524,8 +515,8 @@ class TestWindow:
         paths, full = two_months
         start, end = min(a, b), max(a, b)
         cols = _SUBSET if subset else None
-        w = ForcingStream.open(paths, columns=cols, window=(start, end))
-        assert w.coverage == (start, end)
+        w = ForcingStream.open(paths, (start, end), VARIABLES, columns=cols)
+        assert w.window == (start, end)
         # The first record's bin holds the start; the last record is the
         # partner of the one holding the end, or the last of the data.
         assert w.time[0] <= start < w.time[0] + STEP_HOURS
@@ -537,14 +528,14 @@ class TestWindow:
                 ref = want[name] if cols is None else want[name][cols]
                 assert got[name].tobytes() == ref.tobytes(), (name, t)
         for t in (start - 0.25, end + 0.25):
-            with pytest.raises(ValueError, match=rf"coverage \[{start}h, {end}h\]"):
+            with pytest.raises(ValueError, match=rf"window \[{start}h, {end}h\]"):
                 w.fields_at(t)
 
     def test_window_outside_data_rejected(self, two_months):
         paths, _ = two_months
         for window in [(-1.0, 5.0), (10.0, _DATA_END), (5.0, 4.0)]:
             with pytest.raises(ValueError, match="outside forcing coverage"):
-                ForcingStream.open(paths, window=window)
+                ForcingStream.open(paths, window, VARIABLES)
 
     def test_file_outside_window_gives_no_data_reads(self, two_months, monkeypatch):
         from kiloland import cdf
@@ -558,7 +549,7 @@ class TestWindow:
             return read_slab(self, name, start, count)
 
         monkeypatch.setattr(cdf.CdfFile, "read_slab", recording)
-        w = ForcingStream.open(paths, window=(800.0, 820.0))
+        w = ForcingStream.open(paths, (800.0, 820.0), VARIABLES)
         # Both time axes, then the February records 18..26 (798h..822h).
         assert [r for r in reads if r[0] == "time"] == [
             ("time", (0,), (248,)), ("time", (0,), (224,))

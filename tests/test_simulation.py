@@ -2,6 +2,7 @@ import math
 import os
 import pickle
 import re
+import shutil
 import tempfile
 import zlib
 from dataclasses import replace
@@ -30,7 +31,7 @@ from kiloland.simulation import (
 )
 from kiloland.surface import N_PFTS, SOIL_LAYERS, SurfaceDataset, read_surface, write_surface
 
-from conftest import make_case_config
+from conftest import drop_gattrs, make_case_config, output_bytes, write_case_inputs
 
 P = ToyParams()
 
@@ -433,22 +434,18 @@ class TestRunCase:
     def test_history_mean_equals_oracle(self, mini_inputs, tmp_path):
         # Recompute the mean from a 1-worker inline pass over the same
         # forcing; flushed value must match double-accumulate-then-round.
-        from kiloland.forcing import ForcingStream
-        from kiloland.simulation import _couple, init_state
+        from kiloland.forcing import ForcingStream, VARIABLES, forcing_files
+        from kiloland.simulation import _Coupler, init_state
 
         cfg = make_case_config(mini_inputs)
         res = run_case(cfg, str(tmp_path / "run"))
         surf = read_surface(cfg.surface)
         s = init_state(surf.values, cfg.params, surf.values["MONTHLY_LAI"][0])
-        stream = ForcingStream.open(
-            sorted(
-                os.path.join(cfg.forcing_dir, p) for p in os.listdir(cfg.forcing_dir)
-            )
-        )
+        stream = ForcingStream.open(forcing_files(cfg.forcing_dir), (0.0, 743.0), VARIABLES)
         sums = np.zeros((len(HIST_VARS), 613))
         for step in range(120):
             fields = stream.fields_at(step * 1.0)
-            s, diag = step_cells(s, _couple(fields), cfg.params, 1.0)
+            s, diag = step_cells(s, _Coupler()(fields), cfg.params, 1.0)
             sums += diag
         want = (sums / 120.0).astype(np.float32)
         with cdf.read_file(res.history_paths[0]) as f:
@@ -516,8 +513,8 @@ class TestRunCase:
         log.mkdir()
         open_stream = ForcingStream.open
 
-        def recording(cls, paths, columns=None, window=None, names=None):
-            stream = open_stream(paths, columns=columns, window=window, names=names)
+        def recording(cls, paths, window, names, columns=None):
+            stream = open_stream(paths, window, names, columns=columns)
             held = {name: len(v) for name, v in stream.values.items()}
             fd, _ = tempfile.mkstemp(dir=log)
             with os.fdopen(fd, "wb") as fh:
@@ -554,14 +551,14 @@ class TestRunCase:
 
     def test_loop_interpolates_only_kernel_inputs(self, mini_inputs, tmp_path, monkeypatch):
         from kiloland import simulation
-        from kiloland.forcing import ForcingStream, VARIABLES
+        from kiloland.forcing import ForcingStream, VARIABLES, forcing_files
 
-        requests = []  # (t, names, keys of the returned fields)
+        requests = []  # (t, keys of the returned fields)
         fields_at = ForcingStream.fields_at
 
-        def recording(self, t, names=None):
-            out = fields_at(self, t, names)
-            requests.append((t, names, tuple(out)))
+        def recording(self, t):
+            out = fields_at(self, t)
+            requests.append((t, tuple(out)))
             return out
 
         segments = []  # (step_hi, bundle)
@@ -579,23 +576,22 @@ class TestRunCase:
         monkeypatch.undo()
 
         assert [hi for hi, _ in segments] == [24, 48, 72]
-        assert [t for t, _, _ in requests] == [float(step) for step in range(72)]
+        assert [t for t, _ in requests] == [float(step) for step in range(72)]
         last = {hi - 1 for hi, _ in segments}
-        for step, (_, names, keys) in enumerate(requests):
-            if step in last:
-                assert names is None and keys == tuple(VARIABLES), step
-            else:
-                assert names == FORCING_INPUTS and keys == FORCING_INPUTS, step
-        full = ForcingStream.open(simulation._forcing_paths(cfg.forcing_dir))
+        for step, (_, keys) in enumerate(requests):
+            assert keys == (tuple(VARIABLES) if step in last else FORCING_INPUTS), step
+        full = ForcingStream.open(forcing_files(cfg.forcing_dir), (0.0, 743.0), VARIABLES)
         for hi, bundle in segments:
-            want = simulation._couple(full.fields_at((hi - 1) * float(cfg.dt_hours)))
+            want = simulation._Coupler()(full.fields_at((hi - 1) * float(cfg.dt_hours)))
             assert list(bundle) == list(want)
             for name in VARIABLES:
                 assert bundle[name].tobytes() == want[name].tobytes(), (hi, name)
 
-    def test_setup_reads_only_what_init_state_uses(self, mini_inputs, tmp_path, monkeypatch):
+    def test_setup_reads_only_what_init_state_uses(self, aksp_mini, tmp_path, monkeypatch):
+        # A March start, on March forcing: MONTHLY_LAI is read at month index 2.
+        write_case_inputs(aksp_mini, tmp_path / "in", months=((2014, 3),))
         surface_reads = record_slab_reads(monkeypatch)
-        cfg = make_case_config(mini_inputs, n_days=1, start="2014-03-01")
+        cfg = make_case_config(tmp_path / "in", n_days=1, start="2014-03-01")
         run_case(cfg, str(tmp_path / "s"))
         assert sorted(surface_reads) == [
             ("FMAX", (0,), (613,)),
@@ -621,6 +617,30 @@ class TestRunCase:
         with pytest.raises(ValueError):
             run_case(cfg, str(tmp_path / "bad"))
         assert opened == []
+
+    @pytest.mark.parametrize("start", ["2014-01-15", "2014-03-01", "2013-12-31"])
+    def test_start_must_be_first_forcing_day(self, mini_inputs, tmp_path, monkeypatch, start):
+        # The forcing holds January 2014, so hour 0 is 2014-01-01 00:00.
+        from kiloland.forcing import ForcingStream
+
+        opened = []
+        monkeypatch.setattr(ForcingStream, "open", lambda *a, **k: opened.append(a))
+        cfg = make_case_config(mini_inputs, n_days=1, start=start)
+        out = tmp_path / "late"
+        with pytest.raises(ValueError, match=f"case start {start} is not 2014-01-01"):
+            run_case(cfg, str(out))
+        assert opened == []
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_forcing_without_month_is_cdf_error(self, mini_inputs, tmp_path):
+        from kiloland.forcing import forcing_filename
+
+        cfg = make_case_config(mini_inputs, n_days=1, forcing_dir=str(tmp_path / "forcing"))
+        shutil.copytree(mini_inputs / "forcing", cfg.forcing_dir)
+        path = os.path.join(cfg.forcing_dir, forcing_filename(2014, 1))
+        drop_gattrs(path, "year", "month")
+        with pytest.raises(cdf.CdfError, match=re.escape(path)):
+            run_case(cfg, str(tmp_path / "r"))
 
     def test_every_output_file_written_in_io_region(self, mini_inputs, tmp_path):
         cfg = make_case_config(
@@ -726,15 +746,6 @@ def record_slab_reads(monkeypatch, title="kiloland surface properties") -> list:
 
     monkeypatch.setattr(cdf.CdfFile, "read_slab", recording)
     return reads
-
-
-def output_bytes(out_dir) -> dict:
-    """Name -> bytes of a run's history, restart and rpointer files."""
-    return {
-        name: open(os.path.join(out_dir, name), "rb").read()
-        for name in sorted(os.listdir(out_dir))
-        if name.endswith(".nc") or name.startswith("rpointer.")
-    }
 
 
 class TestRankWorkers:
@@ -973,6 +984,23 @@ class TestRestart:
         write_surface(small, path)
         with pytest.raises(ValueError, match="surface covers 600 cells.*domain mismatch"):
             resume_case(replace(cfg, surface=path), str(tmp_path / "r"), extra_days=1)
+
+    def test_resume_checks_the_forcing_month(self, aksp_mini, mini_inputs, tmp_path,
+                                             monkeypatch):
+        # A bundle made on January forcing, resumed on March forcing.
+        from kiloland.forcing import ForcingStream
+
+        cfg = make_case_config(mini_inputs, n_days=1)
+        run_case(cfg, str(tmp_path / "r"))
+        write_case_inputs(aksp_mini, tmp_path / "march", months=((2014, 3),))
+        march = replace(cfg, forcing_dir=str(tmp_path / "march" / "forcing"))
+        opened = []
+        monkeypatch.setattr(ForcingStream, "open", lambda *a, **k: opened.append(a))
+        out = tmp_path / "resumed"
+        with pytest.raises(ValueError, match="case start 2014-01-01 is not 2014-03-01"):
+            resume_case(march, str(out), extra_days=1, restart_dir=str(tmp_path / "r"))
+        assert opened == []
+        assert not out.exists() or os.listdir(out) == []
 
     def test_resume_without_pointer(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs)
