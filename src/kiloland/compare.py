@@ -166,8 +166,10 @@ def _compare_var(fa, fb, name, mode, eps, buffers, copies=None) -> VarDiff:
                 first = min(first or here, here)
             diff.n_bit_differing += n_bit
             # Infinities and NaN payloads decode to values whose
-            # differences are NaN (inf - inf, inf / inf): accounted for below.
-            with np.errstate(invalid="ignore"):
+            # differences are NaN (inf - inf, inf / inf), and finite values of
+            # opposite sign near the float64 maximum differ by more than it
+            # (|a - b| = inf): both are accounted for below.
+            with np.errstate(invalid="ignore", over="ignore"):
                 if mode == "bit":
                     diff.n_differing += n_bit
                     if n_bit and dtype.kind == "f":
