@@ -22,8 +22,8 @@ import calendar
 import datetime
 import glob
 import os
-from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from . import cdf
 from .domain import DomainSpec, compact
 
 __all__ = [
+    "ForcingFiles",
     "ForcingMonth",
     "ForcingStream",
     "ForcingVariableSpec",
@@ -331,13 +332,48 @@ def read_forcing_month(path: str) -> ForcingMonth:
         return ForcingMonth(start.year, start.month, f.numrecs, values, time_axis)
 
 
-def forcing_files(forcing_dir: str) -> list:
-    """The monthly forcing files in `forcing_dir`, in calendar order."""
+@dataclass(frozen=True)
+class ForcingFiles:
+    """One scan of a run's monthly forcing files, made once by
+    `forcing_files`: set-up and every stream read it, and no file is
+    re-scanned. `time` holds every record's start in hours since the first
+    record (read-only), so hour 0 of a run is its first forcing record."""
+
+    paths: tuple  # in calendar order
+    n_cols: int  # the gridcell length every file shares
+    first_day: datetime.date  # the first file's month start
+    time: np.ndarray
+    starts: tuple  # index in `time` of each file's first record
+
+
+def forcing_files(forcing_dir: str) -> ForcingFiles:
+    """Scan the monthly forcing files in `forcing_dir`, opening each once.
+    A file without its month raises CdfError. A file with no records or
+    another cell count than the first, a gap between files, or times that
+    do not increase raise ValueError."""
     pattern = "forcing_*_[0-9][0-9][0-9][0-9]-[0-9][0-9].nc"
     paths = sorted(glob.glob(os.path.join(forcing_dir, pattern)), key=lambda p: p[-10:-3])
     if not paths:
         raise FileNotFoundError(f"no forcing files in {forcing_dir}")
-    return paths
+    times = []
+    for path in paths:
+        with cdf.read_file(path) as f:
+            day, n, t = month_start(f, path), f.model.dim("gridcell").length, f.read("time")
+        if t.size == 0:
+            raise ValueError(f"forcing file {path} holds no records")
+        if not times:
+            first_day, n_cols = day, n
+        elif n != n_cols:
+            raise ValueError(f"forcing file {path} has {n} cells, {paths[0]} has {n_cols}")
+        elif abs(t[0] - end) > 1e-9:
+            raise ValueError(f"forcing gap: {path} starts at {t[0]}h, expected {end}h")
+        end = t[-1] + STEP_HOURS
+        times.append(t)
+    starts = tuple(accumulate((t.size for t in times[:-1]), initial=0))
+    time = np.concatenate(times) - times[0][0]  # record times are exact multiples of 3 h
+    if np.any(np.diff(time) <= 0):
+        raise ValueError(f"forcing time axis in {forcing_dir} must be strictly increasing")
+    return ForcingFiles(tuple(paths), n_cols, first_day, _frozen(time), starts)
 
 
 def month_start(f: cdf.CdfFile, path: str) -> datetime.date:
@@ -406,10 +442,6 @@ class ForcingStream:
 
     def __init__(self, time_axis: np.ndarray, values: dict, window: tuple, names):
         self.time = np.asarray(time_axis, dtype=np.float64)
-        if self.time.size == 0:
-            raise ValueError("empty forcing stream")
-        if np.any(np.diff(self.time) <= 0):
-            raise ValueError("forcing time axis must be strictly increasing")
         self.values = values
         self.n_cols = next(iter(values.values())).shape[1]
         self.window = (float(window[0]), float(window[1]))
@@ -420,47 +452,34 @@ class ForcingStream:
         self._brackets = {}  # name -> [j, a, b - a or None, b or None]
 
     @classmethod
-    def open(cls, paths: list, window: tuple, names, columns=None) -> "ForcingStream":
-        """Concatenate monthly files into a stream over `window` serving
-        `names` (see the class docstring); `columns` restricts to a gridcell
-        subset (e.g. one rank's cells, in local order).
+    def open(cls, files: ForcingFiles, window: tuple, names, columns=None) -> "ForcingStream":
+        """A stream over `window` serving `names` (see the class docstring)
+        from the scanned `files`; `columns` restricts to a gridcell subset
+        (e.g. one rank's cells, in local order).
 
-        Every file's time axis is read (months must follow each other
-        without a gap); each variable's records are read with one slab per
-        file that holds any of them, so a file outside the window gives no
-        data reads.
+        Only the files that hold records of the window are opened, and no
+        time axis is read: each variable's records are read with one slab
+        per file that holds any of them.
         """
         unknown = sorted(set(names) - set(VARIABLES))
         if unknown:
             raise ValueError(f"unknown forcing variables {unknown}")
-        with ExitStack() as stack:
-            files = [stack.enter_context(cdf.read_file(p)) for p in paths]
-            times = []
-            last_end = None
-            for path, f in zip(paths, files):
-                t = f.read("time")
-                if last_end is not None and abs(t[0] - last_end) > 1e-9:
-                    raise ValueError(
-                        f"forcing gap: {path} starts at {t[0]}h, expected {last_end}h"
-                    )
-                last_end = t[-1] + STEP_HOURS
-                times.append(t)
-            time_axis = np.concatenate(times)
-            lo, hi = _record_range(time_axis, window)
-            # The variables not named start at the record whose bin holds the end.
-            end_record = int(np.searchsorted(time_axis, window[1], side="right")) - 1
-            first = {name: lo if name in names else end_record for name in VARIABLES}
-            parts = {name: [] for name in VARIABLES}
-            offset = 0
-            for f, t in zip(files, times):
-                n_land = f.model.dim("gridcell").length
+        lo, hi = _record_range(files.time, window)
+        # The variables not named start at the record whose bin holds the end.
+        end_record = int(np.searchsorted(files.time, window[1], side="right")) - 1
+        first = {name: lo if name in names else end_record for name in VARIABLES}
+        parts = {name: [] for name in VARIABLES}
+        bounds = files.starts + (files.time.size,)
+        for path, f0, f1 in zip(files.paths, bounds, bounds[1:]):
+            if f1 <= lo or hi <= f0:  # no record of the window: the file stays closed
+                continue
+            with cdf.read_file(path) as f:
                 for name in VARIABLES:
-                    r0, r1 = max(first[name] - offset, 0), min(hi - offset, t.size)
+                    r0, r1 = max(first[name] - f0, 0), min(hi, f1) - f0
                     if r0 < r1:
-                        parts[name].append(_read_columns(f, name, n_land, columns, r0, r1))
-                offset += t.size
+                        parts[name].append(_read_columns(f, name, files.n_cols, columns, r0, r1))
         values = {name: _join(parts[name]) for name in VARIABLES}
-        return cls(time_axis[lo:hi], values, window, names)
+        return cls(files.time[lo:hi], values, window, names)
 
     def fields_at(self, t_hours: float) -> dict:
         """Per-variable float64 fields at simulation time t (hours): `names`

@@ -363,6 +363,20 @@ def render_scaling_svg(table: ScalingTable, title: str) -> str:
 # Measured scaling harness
 
 
+def _check_same_outputs(ref_dir: str, run_dir: str, workers: int) -> None:
+    """Raise AssertionError unless `run_dir` holds the `.nc` files of
+    `ref_dir`, byte for byte."""
+    from .compare import files_bit_identical
+
+    names, got = (sorted(n for n in os.listdir(d) if n.endswith(".nc")) for d in (ref_dir, run_dir))
+    what = f"scaling run with {workers} workers"
+    if got != names:
+        raise AssertionError(f"{what} wrote {got}, the reference {names}")
+    for name in names:
+        if not files_bit_identical(os.path.join(ref_dir, name), os.path.join(run_dir, name)):
+            raise AssertionError(f"{what} diverged from the reference: {name}")
+
+
 def run_scaling_suite(
     cfg,
     worker_counts: list,
@@ -380,10 +394,9 @@ def run_scaling_suite(
     interleaved across worker counts (1, 2, 1, 2, ... for counts [1, 2]),
     so a drift of the machine's speed during the suite hits every count
     alike. Emits per-component ScalingTables, a CSV, and an SVG speedup
-    chart; in strong mode every run's outputs are checked bit-identical to
-    the first run's.
+    chart. In strong mode every run must write the first run's `.nc` files,
+    byte for byte.
     """
-    from . import compare as compare_mod
     from . import simulation
 
     if mode not in ("strong", "weak"):
@@ -411,23 +424,7 @@ def run_scaling_suite(
                 if reference is None:
                     reference = result
                 else:
-                    pairs = list(zip(reference.history_paths, result.history_paths))
-                    ref_bundle = reference.latest_restart
-                    new_bundle = result.latest_restart
-                    for kind in ("elm_r", "cpl_r", "datm_r", "rh0"):
-                        pairs.append(
-                            (
-                                os.path.join(reference.out_dir, ref_bundle[kind]),
-                                os.path.join(result.out_dir, new_bundle[kind]),
-                            )
-                        )
-                    for a, b in pairs:
-                        report = compare_mod.compare_files(a, b, tol="bit_exact")
-                        if report.verdict != "identical":
-                            raise AssertionError(
-                                f"scaling run with {w} workers diverged from the "
-                                f"reference: {os.path.basename(b)}"
-                            )
+                    _check_same_outputs(reference.out_dir, result.out_dir, w)
             if w not in best or (
                 result.component_seconds["lnd"] < best[w].component_seconds["lnd"]
             ):

@@ -13,11 +13,13 @@ equal runs produce byte-equal files.
 A multi-worker run forks one process per land rank that lives for the
 whole run. Each rank's state, history sums and coupler bundle sit in
 anonymous shared memory, so a segment sends a worker only its step range,
-and the coordinator writes history and restarts from the shared arrays;
-each segment opens one windowed forcing stream per rank. An exception in a
-worker is raised again in the caller with its type and message; a worker
-that dies raises `ChildProcessError` (an `OSError`: CLI exit code 3).
-Every worker is terminated and joined before the run returns or raises.
+and the coordinator writes history and restarts from the shared arrays.
+Set-up scans the forcing files once (`forcing_files`), and hour 0 of a run
+is their first record; each segment opens one windowed stream per rank on
+that scan. An exception in a worker is raised again in the caller with its
+type and message; a worker that dies raises `ChildProcessError` (an
+`OSError`: CLI exit code 3). Every worker is terminated and joined before
+the run returns or raises.
 
 The land physics is a deliberately small five-pool column model (snow,
 soil water, soil temperature, leaf and soil carbon) chosen to be linear in
@@ -45,7 +47,7 @@ from .decomp import (
     DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, build_iodecomp, make_plan, partition, rearrange_write,
 )
 from .domain import read_domain, read_domain_header, replicate, write_domain
-from .forcing import STEP_HOURS, ForcingStream, VARIABLES, forcing_files, month_start
+from .forcing import STEP_HOURS, ForcingFiles, ForcingStream, VARIABLES, forcing_files
 from .perf import TimerTree, merge_timers
 
 __all__ = [
@@ -355,7 +357,7 @@ class _WorkerTask:
     step_hi: int
     dt_hours: float
     params: ToyParams
-    forcing_paths: list
+    forcing: ForcingFiles
     rank: _Rank
 
 
@@ -391,8 +393,7 @@ def _run_worker_segment(task: _WorkerTask) -> _Rank:
     with atm.timed():
         # Only the segment's last step feeds the coupler restart (cpl.r), so
         # the other variables are read only for the window's end.
-        stream = ForcingStream.open(task.forcing_paths, window, FORCING_INPUTS,
-                                    columns=rank.columns)
+        stream = ForcingStream.open(task.forcing, window, FORCING_INPUTS, columns=rank.columns)
     couple = _Coupler()
     state, sums = rank.state, rank.sums
     for step in range(task.step_lo, task.step_hi):
@@ -419,7 +420,7 @@ def _shared(arrays: dict) -> dict:
     return out
 
 
-def _serve_rank(conn, rank: _Rank, dt_hours: float, params: ToyParams, forcing_paths: list):
+def _serve_rank(conn, rank: _Rank, dt_hours: float, params: ToyParams, forcing: ForcingFiles):
     """A rank worker's loop. For each (lo, hi) the coordinator sends, step
     the rank through `_run_worker_segment`, copy its new state and bundle
     into the rank's shared arrays and reply None, or (exception, its
@@ -428,7 +429,7 @@ def _serve_rank(conn, rank: _Rank, dt_hours: float, params: ToyParams, forcing_p
     state, bundle = rank.state, rank.bundle
     while (segment := conn.recv()) is not None:
         try:
-            out = _run_worker_segment(_WorkerTask(*segment, dt_hours, params, forcing_paths, rank))
+            out = _run_worker_segment(_WorkerTask(*segment, dt_hours, params, forcing, rank))
             for shared, new in ((state, out.state), (bundle, out.bundle)):
                 for k, v in shared.items():
                     v[...] = new[k]
@@ -454,7 +455,7 @@ class _RankWorkers:
     raised again here with its type and message; a worker that dies raises
     `ChildProcessError` naming the rank and its exit code."""
 
-    def __init__(self, ranks: list, dt_hours: float, params: ToyParams, forcing_paths: list):
+    def __init__(self, ranks: list, dt_hours: float, params: ToyParams, forcing: ForcingFiles):
         ctx = multiprocessing.get_context("fork")
         self.ranks, self.procs, self.conns = ranks, [], []
         try:
@@ -466,7 +467,7 @@ class _RankWorkers:
                 rank.bundle = _shared(rank.bundle or {k: np.zeros(n) for k in VARIABLES})
                 conn, child = ctx.Pipe()
                 proc = ctx.Process(target=_serve_rank,
-                                   args=(child, rank, dt_hours, params, forcing_paths))
+                                   args=(child, rank, dt_hours, params, forcing))
                 proc.start()
                 child.close()
                 self.procs.append(proc)
@@ -606,17 +607,14 @@ class _Run:
         with self.timers.region("init"):
             # The run needs only the domain's header, none of its variables.
             self.n_land, self.id_space, self.n_copies = read_domain_header(cfg.domain)
-            self.forcing_paths = forcing_files(cfg.forcing_dir)
-            with cdf.read_file(self.forcing_paths[0]) as f:
-                file_n = f.model.dim("gridcell").length
-                first_day = month_start(f, self.forcing_paths[0])
+            self.forcing = forcing_files(cfg.forcing_dir)
             # Hour 0 of the run is the first forcing record.
-            if datetime.date.fromisoformat(cfg.start) != first_day:
+            if datetime.date.fromisoformat(cfg.start) != self.forcing.first_day:
                 raise ValueError(
-                    f"case start {cfg.start} is not {first_day}, the first day of the"
-                    f" first forcing file"
+                    f"case start {cfg.start} is not {self.forcing.first_day}, the first day"
+                    f" of the first forcing file"
                 )
-            columns = _source_columns(self.n_land, self.n_copies, file_n, "forcing")
+            columns = _source_columns(self.n_land, self.n_copies, self.forcing.n_cols, "forcing")
             self.part = partition(
                 self.n_land, cfg.lnd_workers, cfg.partition_scheme, cfg.block_size
             )
@@ -638,7 +636,7 @@ class _Run:
             self.count = run.count
             self.window_start_hours = run.window_start_hours
             self.total_steps = run.total_days * cfg.steps_per_day
-            whole = np.arange(file_n)
+            whole = np.arange(self.forcing.n_cols)
             self.ranks = [
                 _Rank(
                     # A rank that reads every file column in order needs no gather.
@@ -653,8 +651,7 @@ class _Run:
                 for r, cells in enumerate(self.part.local_lists)
             ]
             # Forcing must cover the whole run.
-            with cdf.read_file(self.forcing_paths[-1]) as f:
-                t_end = f.read("time")[-1] + STEP_HOURS
+            t_end = self.forcing.time[-1] + STEP_HOURS
             end_hours = self.total_steps * cfg.dt_hours
             if end_hours > t_end:
                 raise ValueError(
@@ -737,7 +734,7 @@ class _Run:
         segments = list(zip(boundaries[:-1], boundaries[1:])) or [(self.total_steps,) * 2]
         workers = None
         if cfg.lnd_workers > 1:
-            workers = _RankWorkers(self.ranks, cfg.dt_hours, cfg.params, self.forcing_paths)
+            workers = _RankWorkers(self.ranks, cfg.dt_hours, cfg.params, self.forcing)
         try:
             for lo, hi in segments:
                 if hi > lo:
@@ -776,7 +773,7 @@ class _Run:
         if workers is None:
             self.ranks = [
                 _run_worker_segment(
-                    _WorkerTask(lo, hi, cfg.dt_hours, cfg.params, self.forcing_paths, rank)
+                    _WorkerTask(lo, hi, cfg.dt_hours, cfg.params, self.forcing, rank)
                 )
                 for rank in self.ranks
             ]

@@ -1,3 +1,6 @@
+import datetime
+import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -15,6 +18,7 @@ from kiloland.forcing import (
     VARIABLES,
     downscale_day,
     downscale_month,
+    forcing_files,
     gen_forcing_files,
     month_offset_hours,
     read_forcing_month,
@@ -330,15 +334,16 @@ class TestFiles:
             np.testing.assert_array_equal(back.values[name], fm.values[name])
 
     def test_stream_across_months(self, aksp_mini, tmp_path):
-        paths = gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 2)], tmp_path)
-        s = ForcingStream.open(paths, (0.0, (248 + 224) * 3.0 - 1.0), VARIABLES)
+        gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 2)], tmp_path)
+        files = forcing_files(str(tmp_path))
+        s = ForcingStream.open(files, (0.0, (248 + 224) * 3.0 - 1.0), VARIABLES)
         assert s.time.size == 248 + 224
         np.testing.assert_array_equal(np.diff(s.time), 3.0)
 
     def test_stream_gap_detected(self, aksp_mini, tmp_path):
-        paths = gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 3)], tmp_path)
+        gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 3)], tmp_path)
         with pytest.raises(ValueError, match="gap"):
-            ForcingStream.open(paths, (0.0, 1.0), VARIABLES)
+            forcing_files(str(tmp_path))
 
     def test_cdf2_month_readable_by_third_party(self, aksp_mini, tmp_path):
         scipy_io = pytest.importorskip("scipy.io")
@@ -351,10 +356,11 @@ class TestFiles:
             np.testing.assert_array_equal(nc.variables["TBOT"][:], fm.values["TBOT"])
 
     def test_column_subset_matches_full(self, aksp_mini, tmp_path):
-        paths = gen_forcing_files(3, aksp_mini, [(2014, 1)], tmp_path)
+        gen_forcing_files(3, aksp_mini, [(2014, 1)], tmp_path)
+        files = forcing_files(str(tmp_path))
         cols = np.array([5, 0, 200, 612])
-        full = ForcingStream.open(paths, (0.0, 743.0), VARIABLES)
-        sub = ForcingStream.open(paths, (0.0, 743.0), VARIABLES, columns=cols)
+        full = ForcingStream.open(files, (0.0, 743.0), VARIABLES)
+        sub = ForcingStream.open(files, (0.0, 743.0), VARIABLES, columns=cols)
         for name in VARIABLES:
             np.testing.assert_array_equal(sub.values[name], full.values[name][:, cols])
         f_full = full.fields_at(7.0)
@@ -380,9 +386,59 @@ _hours = st.one_of(
 @pytest.fixture(scope="module")
 def two_months(tmp_path_factory, aksp_mini):
     out = tmp_path_factory.mktemp("two_months")
-    paths = gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 2)], out)
+    gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 2)], out)
+    files = forcing_files(str(out))
     # The whole data, to its last quarter-hour, served for every variable.
-    return paths, ForcingStream.open(paths, (0.0, _DATA_END - 0.25), VARIABLES)
+    return files, ForcingStream.open(files, (0.0, _DATA_END - 0.25), VARIABLES)
+
+
+class TestForcingFiles:
+    def test_one_scan_of_every_file(self, two_months):
+        files, _ = two_months
+        assert [p[-10:-3] for p in files.paths] == ["2014-01", "2014-02"]
+        assert files.n_cols == 613
+        assert files.first_day == datetime.date(2014, 1, 1)
+        assert files.starts == (0, 248)
+        np.testing.assert_array_equal(files.time, np.arange(_N_RECORDS) * STEP_HOURS)
+        with pytest.raises(ValueError, match="read-only"):
+            files.time[0] = 1.0
+
+    def test_hour_zero_is_the_first_record(self, aksp_mini, tmp_path):
+        # February of a January-February batch: its records start at 744h.
+        gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 2)], tmp_path)
+        os.remove(tmp_path / "forcing_met_2014-01.nc")
+        files = forcing_files(str(tmp_path))
+        assert files.first_day == datetime.date(2014, 2, 1)
+        assert files.starts == (0,)
+        np.testing.assert_array_equal(files.time, np.arange(224) * STEP_HOURS)
+
+    def test_cell_count_mismatch_names_the_file(self, aksp_mini, tmp_path):
+        gen_forcing_files(3, aksp_mini, [(2014, 1), (2014, 2)], tmp_path)
+        feb = str(tmp_path / "forcing_met_2014-02.nc")
+        fm = read_forcing_month(feb)
+        fm.values = {name: v[:, :600] for name, v in fm.values.items()}
+        write_forcing_month(fm, feb)
+        with pytest.raises(ValueError, match=re.escape(f"forcing file {feb} has 600 cells")):
+            forcing_files(str(tmp_path))
+
+    @pytest.mark.parametrize("fault", ["no records", "records out of order"])
+    def test_bad_time_axis_rejected(self, aksp_mini, tmp_path, fault):
+        from kiloland import cdf
+
+        (path,) = gen_forcing_files(3, aksp_mini, [(2014, 1)], tmp_path)
+        with cdf.read_file(path) as f:
+            model, numrecs = f.model, f.numrecs
+            data = {v.name: f.read(v.name) for v in model.vars}
+        if fault == "no records":
+            data, numrecs = {name: v[:0] for name, v in data.items()}, 0
+            want = f"forcing file {path} holds no records"
+        else:
+            data["time"][[5, 6]] = data["time"][[6, 5]]
+            want = "must be strictly increasing"
+        with open(path, "wb") as fh:
+            cdf.write_file(fh, model, data, numrecs=numrecs)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            forcing_files(str(tmp_path))
 
 
 def _window_times(start, end, records):
@@ -420,10 +476,10 @@ class TestBracketCache:
     @settings(max_examples=60, deadline=None)
     @given(calls=_call_sequences(), names=_names, windowed=st.booleans())
     def test_cached_fields_match_fresh_stream(self, two_months, calls, names, windowed):
-        paths, full = two_months
+        files, full = two_months
         if windowed:
             # The window's edges are the first and last times asked for.
-            s = ForcingStream.open(paths, (min(calls), max(calls)), names)
+            s = ForcingStream.open(files, (min(calls), max(calls)), names)
         else:
             s = ForcingStream(full.time, full.values, full.window, names)
         for t in calls:
@@ -481,10 +537,10 @@ class TestCouplerOnlyVariables:
     def test_serves_the_full_stream_bytes(self, two_months, a, b, cols):
         from kiloland.simulation import FORCING_INPUTS
 
-        paths, full = two_months
+        files, full = two_months
         start, end = min(a, b), max(a, b)
         idx = slice(None) if cols is None else np.array(cols)
-        s = ForcingStream.open(paths, (start, end), FORCING_INPUTS, columns=cols)
+        s = ForcingStream.open(files, (start, end), FORCING_INPUTS, columns=cols)
         coupler_only = [name for name in VARIABLES if name not in FORCING_INPUTS]
         assert s.names == FORCING_INPUTS
         for name, v in s.values.items():
@@ -497,9 +553,9 @@ class TestCouplerOnlyVariables:
                 assert got[name].tobytes() == want[name][idx].tobytes(), (name, t)
 
     def test_bad_names_rejected(self, two_months):
-        paths, _ = two_months
+        files, _ = two_months
         with pytest.raises(ValueError, match="unknown forcing variables"):
-            ForcingStream.open(paths, (0.0, 5.0), ["TBOT", "RAIN"])
+            ForcingStream.open(files, (0.0, 5.0), ["TBOT", "RAIN"])
 
 
 class TestWindow:
@@ -512,10 +568,10 @@ class TestWindow:
     @example(a=1400.0, b=1415.75, subset=False)  # ends in the trailing interval
     @example(a=1414.5, b=1414.5, subset=True)  # one instant at the data end
     def test_window_matches_full_stream(self, two_months, a, b, subset):
-        paths, full = two_months
+        files, full = two_months
         start, end = min(a, b), max(a, b)
         cols = _SUBSET if subset else None
-        w = ForcingStream.open(paths, (start, end), VARIABLES, columns=cols)
+        w = ForcingStream.open(files, (start, end), VARIABLES, columns=cols)
         assert w.window == (start, end)
         # The first record's bin holds the start; the last record is the
         # partner of the one holding the end, or the last of the data.
@@ -532,28 +588,31 @@ class TestWindow:
                 w.fields_at(t)
 
     def test_window_outside_data_rejected(self, two_months):
-        paths, _ = two_months
+        files, _ = two_months
         for window in [(-1.0, 5.0), (10.0, _DATA_END), (5.0, 4.0)]:
             with pytest.raises(ValueError, match="outside forcing coverage"):
-                ForcingStream.open(paths, window, VARIABLES)
+                ForcingStream.open(files, window, VARIABLES)
 
     def test_file_outside_window_gives_no_data_reads(self, two_months, monkeypatch):
         from kiloland import cdf
 
-        paths, full = two_months
-        reads = []
-        read_slab = cdf.CdfFile.read_slab
+        files, full = two_months
+        opened, reads = [], []
+        init, read_slab = cdf.CdfFile.__init__, cdf.CdfFile.read_slab
+
+        def opening(self, source):
+            opened.append(source)
+            init(self, source)
 
         def recording(self, name, start, count):
             reads.append((name, tuple(start), tuple(count)))
             return read_slab(self, name, start, count)
 
+        monkeypatch.setattr(cdf.CdfFile, "__init__", opening)
         monkeypatch.setattr(cdf.CdfFile, "read_slab", recording)
-        w = ForcingStream.open(paths, (800.0, 820.0), VARIABLES)
-        # Both time axes, then the February records 18..26 (798h..822h).
-        assert [r for r in reads if r[0] == "time"] == [
-            ("time", (0,), (248,)), ("time", (0,), (224,))
-        ]
-        data = [r[1:] for r in reads if r[0] != "time"]
-        assert data == [((18, 0), (9, full.n_cols))] * len(VARIABLES)
+        w = ForcingStream.open(files, (800.0, 820.0), VARIABLES)
+        # Only February is opened, and no time axis is read: the February
+        # records 18..26 (798h..822h), one slab per variable.
+        assert opened == [files.paths[1]]
+        assert reads == [(name, (18, 0), (9, full.n_cols)) for name in VARIABLES]
         np.testing.assert_array_equal(w.values["TBOT"], full.values["TBOT"][266:275])

@@ -267,6 +267,36 @@ class TestMeasuredSuite:
         text = open(result["csv"]).read()
         assert text.count("LND,run") == 2
 
+    def test_strong_without_restarts(self, mini_inputs, tmp_path):
+        # No restart bundle and no rpointer: the history files are compared.
+        cfg = make_case_config(mini_inputs, n_days=1, restart_interval="none")
+        result = run_scaling_suite(cfg, [1, 2], mode="strong", out_dir=str(tmp_path))
+        assert [r.n_cores for r in result["tables"]["LND"].records] == [1, 2]
+
+    @pytest.mark.parametrize("fault", ["flip", "extra"])
+    def test_strong_divergence_raises(self, mini_inputs, tmp_path, monkeypatch, fault):
+        from kiloland import simulation
+
+        run_case = simulation.run_case
+
+        def faulty(cfg, out_dir):
+            result = run_case(cfg, out_dir)
+            if cfg.lnd_workers == 2 and fault == "flip":  # the last GPP value's low byte
+                with open(result.history_paths[0], "r+b") as fh:
+                    fh.seek(-1, os.SEEK_END)
+                    last = fh.read(1)[0]
+                    fh.seek(-1, os.SEEK_END)
+                    fh.write(bytes([last ^ 1]))
+            elif cfg.lnd_workers == 2:
+                open(os.path.join(out_dir, "mini.extra.nc"), "wb").close()
+            return result
+
+        monkeypatch.setattr(simulation, "run_case", faulty)
+        cfg = make_case_config(mini_inputs, n_days=1)
+        want = "diverged from the reference: mini.elm.h0" if fault == "flip" else "wrote"
+        with pytest.raises(AssertionError, match=want):
+            run_scaling_suite(cfg, [1, 2], mode="strong", out_dir=str(tmp_path))
+
     def test_repeats_interleave_worker_counts(self, mini_inputs, tmp_path, monkeypatch):
         from kiloland import simulation
 

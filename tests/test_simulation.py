@@ -5,6 +5,7 @@ import re
 import shutil
 import tempfile
 import zlib
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from kiloland import cdf
 from kiloland.compare import check_replication, files_bit_identical
+from kiloland.forcing import forcing_filename, read_forcing_month, write_forcing_month
 from kiloland.simulation import (
     FREEZE_K,
     CaseConfig,
@@ -641,6 +643,56 @@ class TestRunCase:
         drop_gattrs(path, "year", "month")
         with pytest.raises(cdf.CdfError, match=re.escape(path)):
             run_case(cfg, str(tmp_path / "r"))
+
+    def test_forcing_may_begin_at_a_later_month_of_its_batch(self, aksp_mini, tmp_path):
+        # February of a January-February batch holds records from 744h; a
+        # February made alone holds them from 0h. Only the time values differ.
+        write_case_inputs(aksp_mini, tmp_path / "batch", months=((2014, 1), (2014, 2)))
+        os.remove(tmp_path / "batch" / "forcing" / forcing_filename(2014, 1))
+        write_case_inputs(aksp_mini, tmp_path / "alone", months=((2014, 2),))
+        for root in ("batch", "alone"):
+            cfg = make_case_config(
+                tmp_path / root, n_days=2, start="2014-02-01", history_interval="daily",
+                restart_interval="every:1d",
+            )
+            run_case(cfg, str(tmp_path / f"out_{root}"))
+        assert output_bytes(tmp_path / "out_batch") == output_bytes(tmp_path / "out_alone")
+
+    def test_forcing_time_read_once_per_file(self, aksp_mini, tmp_path, monkeypatch):
+        write_case_inputs(aksp_mini, tmp_path / "in", months=((2014, 1), (2014, 2)))
+        reads = Counter()
+        read_slab = cdf.CdfFile.read_slab
+
+        def recording(self, name, start, count, out=None):
+            if name == "time":
+                reads[os.path.basename(self._fh.name)] += 1
+            return read_slab(self, name, start, count, out=out)
+
+        monkeypatch.setattr(cdf.CdfFile, "read_slab", recording)
+        cfg = make_case_config(tmp_path / "in", n_days=10, history_interval="daily")
+        run_case(cfg, str(tmp_path / "r"))
+        assert reads == {forcing_filename(2014, m): 1 for m in (1, 2)}
+
+    def test_forcing_cell_counts_must_agree(self, aksp_mini, mini_inputs, tmp_path, monkeypatch):
+        from kiloland.forcing import ForcingStream, gen_forcing_files
+
+        # January as the run's, February from the same batch cut to 600 cells.
+        forcing_dir = tmp_path / "forcing"
+        shutil.copytree(mini_inputs / "forcing", forcing_dir)
+        gen_forcing_files(7, aksp_mini, [(2014, 1), (2014, 2)], tmp_path / "batch")
+        feb = read_forcing_month(str(tmp_path / "batch" / forcing_filename(2014, 2)))
+        feb.values = {name: v[:, :600] for name, v in feb.values.items()}
+        path = str(forcing_dir / forcing_filename(2014, 2))
+        write_forcing_month(feb, path)
+        opened = []
+        monkeypatch.setattr(ForcingStream, "open", lambda *a, **k: opened.append(a))
+        cfg = make_case_config(mini_inputs, n_days=1, forcing_dir=str(forcing_dir))
+        out = tmp_path / "r"
+        with pytest.raises(ValueError, match=re.escape(f"forcing file {path} has 600 cells")) as e:
+            run_case(cfg, str(out))
+        assert "has 613" in str(e.value)
+        assert opened == []
+        assert not out.exists() or os.listdir(out) == []
 
     def test_every_output_file_written_in_io_region(self, mini_inputs, tmp_path):
         cfg = make_case_config(
