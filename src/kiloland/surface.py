@@ -4,7 +4,9 @@ lat/lon sources, plus the subgrid hierarchy constants.
 Nearest-neighbor interpolation is geodesic (squared chord distance on the
 unit sphere, a monotone transform of great-circle distance) with ties
 resolved toward the lower flat source index, so results are reproducible
-and checkable against a brute-force scan. Bilinear interpolation operates
+and equal to a brute-force scan. The search is exact without a spatial
+index: bounds from the chord identity limit it to a few rows of the source
+and a window of columns in each. Bilinear interpolation operates
 on the lat/lon rectangle containing each target. Spline interpolation is
 deliberately unavailable.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import cdf
 from .domain import DomainSpec, compact
@@ -70,6 +71,8 @@ class CoarseGrid:
         for axis, name in ((self.lat, "lat"), (self.lon, "lon")):
             if axis.size > 1 and not np.all(np.diff(axis) > 0):
                 raise ValueError(f"{name} axis must be strictly increasing")
+        if not (np.all(np.abs(self.lat) <= 90.0) and np.all(np.isfinite(self.lon))):
+            raise ValueError("lat axis must lie in [-90, 90] and lon axis be finite")
         for name, v in self.values.items():
             v = np.asarray(v)
             if v.shape[-2:] != (self.lat.size, self.lon.size):
@@ -85,34 +88,114 @@ def _unit_vectors(lat_deg, lon_deg):
     return np.stack([cl * np.cos(lon), cl * np.sin(lon), np.sin(lat)], axis=-1)
 
 
+def _chord_sq(a, b):
+    diff = a - b
+    return (diff * diff).sum(axis=-1)
+
+
 def chord_sq(lat1, lon1, lat2, lon2):
     """Squared 3D chord distance between points on the unit sphere."""
-    a = _unit_vectors(lat1, lon1)
-    b = _unit_vectors(lat2, lon2)
-    d = a - b
-    return (d * d).sum(axis=-1)
+    return _chord_sq(_unit_vectors(lat1, lon1), _unit_vectors(lat2, lon2))
+
+
+# Targets searched per pass: the candidate arrays stay a few MiB.
+_CHUNK = 8192
+# Slack on a bound before it excludes a center: relative, and absolute for
+# targets on or very near a center. It is far above the rounding error of
+# any chord² (about 1e-15), so no computed minimum is ever excluded.
+_REL, _ABS = 1e-9, 1e-12
 
 
 def nearest_indices(src: CoarseGrid, lat, lon) -> np.ndarray:
     """Flat (row-major) index of the geodesically nearest source center per
-    target; exact distance ties go to the lower flat index."""
+    target; exact distance ties go to the lower flat index.
+
+    The search is exact: every center whose chord² could reach the minimum
+    is evaluated with the formula of `chord_sq`. It rests on the
+    identity chord² = 4 sin²(Δφ/2) + 4 cos φ cos φᵣ sin²(Δλ/2). The nearest
+    of the four centers bracketing a target bounds its minimum; the first
+    term then bounds the rows worth visiting, and the second the window of
+    columns in each of them."""
+    lat, lon = np.broadcast_arrays(
+        np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
+    )
+    lat, lon = lat.ravel(), lon.ravel()
+    bad = ~(np.isfinite(lat) & np.isfinite(lon))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"non-finite target {i}: lat {lat[i]}, lon {lon[i]}")
+    if not np.all(np.abs(lat) <= 90.0):
+        raise ValueError("target latitude outside [-90, 90]")
     glat, glon = np.meshgrid(src.lat, src.lon, indexing="ij")
     centers = _unit_vectors(glat.ravel(), glon.ravel())
-    tree = cKDTree(centers)
-    targets = _unit_vectors(lat, lon).reshape(-1, 3)
-    k = min(9, centers.shape[0])
-    _, cand = tree.query(targets, k=k)
-    cand = np.asarray(cand).reshape(targets.shape[0], -1)
-    # Recompute the distance for the candidates with one fixed formula and
-    # take the lowest flat index among exact minima.
-    diff = centers[cand] - targets[:, None, :]
-    d2 = (diff * diff).sum(axis=-1)
-    order = np.argsort(cand, axis=1, kind="stable")
-    cand_sorted = np.take_along_axis(cand, order, axis=1)
-    d2_sorted = np.take_along_axis(d2, order, axis=1)
-    best = d2_sorted.min(axis=1, keepdims=True)
-    first_min = np.argmax(d2_sorted == best, axis=1)
-    return cand_sorted[np.arange(cand.shape[0]), first_min]
+    phi, lam = np.radians(src.lat), np.radians(src.lon)
+    out = np.empty(lat.size, dtype=np.int64)
+    for s in range(0, lat.size, _CHUNK):
+        e = s + _CHUNK
+        out[s:e] = _nearest_chunk(centers, phi, lam, lat[s:e], lon[s:e])
+    return out
+
+
+def _expand(starts, counts):
+    """The ranges [starts[i], starts[i] + counts[i]), concatenated."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+
+
+def _nearest_chunk(centers, phi, lam, lat, lon) -> np.ndarray:
+    """`nearest_indices` for one chunk of targets; `centers` are the source's
+    unit vectors (row-major), `phi` and `lam` its axes in radians."""
+    nlat, nlon = phi.size, lam.size
+    n = lat.size
+    t = _unit_vectors(lat, lon)
+    phi_t = np.radians(lat)
+
+    # An upper bound on each target's minimum: its nearest bracketing center.
+    i = np.searchsorted(phi, phi_t)
+    j = np.searchsorted(lam, np.radians(lon))
+    rows = np.clip(np.stack([i - 1, i], axis=1), 0, nlat - 1)
+    cols = np.clip(np.stack([j - 1, j], axis=1), 0, nlon - 1)
+    seeds = (rows[:, :, None] * nlon + cols[:, None, :]).reshape(n, 4)
+    d2 = _chord_sq(centers[seeds], t[:, None, :])
+    seed = seeds[np.arange(n), d2.argmin(axis=1)]
+    bound = d2.min(axis=1) * (1 + _REL) + _ABS
+
+    # Rows whose 4 sin²(Δφ/2) is within the bound: |Δφ| <= 2 asin(√(bound/4)).
+    half = 2 * np.arcsin(np.sqrt(np.minimum(bound / 4, 1.0)))
+    r0 = np.searchsorted(phi, phi_t - half, side="left")
+    n_rows = np.searchsorted(phi, phi_t + half, side="right") - r0
+    pt = np.repeat(np.arange(n), n_rows)  # target of each (target, row) pair
+    pr = _expand(r0, n_rows)  # row of each pair
+
+    # Columns within the rest of the bound: |Δλ| <= w on the circle, where w
+    # reaches π (the whole row) near a pole. The window is centered on the
+    # longitude of the target's own unit vector and searched at every 2π
+    # shift that can meet the source's longitudes.
+    rest = bound[pt] - 4 * np.sin((phi_t[pt] - phi[pr]) / 2) ** 2
+    scale = 4 * np.cos(phi_t)[pt] * np.cos(phi)[pr]
+    w = 2 * np.arcsin(np.sqrt(np.clip(rest / scale, 0.0, 1.0)))
+    two_pi = 2 * np.pi
+    shifts = two_pi * np.arange(np.ceil(lam[0] / two_pi) - 1, np.floor(lam[-1] / two_pi) + 2)
+    center = np.arctan2(t[:, 1], t[:, 0])[pt, None] + shifts
+    lo = np.searchsorted(lam, center - w[:, None], side="left")
+    hi = np.searchsorted(lam, center + w[:, None], side="right")
+    full = w >= np.pi
+    lo[full], hi[full] = 0, 0
+    hi[full, 0] = nlon
+    counts = hi - lo
+    window = _expand((pr[:, None] * nlon + lo).ravel(), counts.ravel())
+
+    # Each target's candidates are its seed, then its windows; the answer is
+    # the lowest flat index among those at the minimum chord².
+    per_pair = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
+    pair_end = np.cumsum(n_rows)
+    n_window = per_pair[pair_end] - per_pair[pair_end - n_rows]
+    cand = np.insert(window, np.cumsum(n_window) - n_window, seed)
+    seg = n_window + 1
+    starts = np.cumsum(seg) - seg
+    d2 = _chord_sq(centers[cand], np.repeat(t, seg, axis=0))
+    is_min = d2 == np.repeat(np.minimum.reduceat(d2, starts), seg)
+    return np.minimum.reduceat(np.where(is_min, cand, nlat * nlon), starts)
 
 
 def interp_nearest(src: CoarseGrid, lat, lon, idx=None) -> dict:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kiloland.domain import compact
 from kiloland.surface import (
@@ -32,6 +38,43 @@ def brute_force_nearest(src, lat, lon):
                 best, best_d = flat, d
         out[t] = best
     return out
+
+
+def _axis(lo, hi, max_size):
+    """A strictly increasing axis of half degrees in [lo, hi]."""
+    return st.lists(
+        st.integers(2 * lo, 2 * hi), min_size=1, max_size=max_size, unique=True
+    ).map(lambda v: tuple(x / 2 for x in sorted(v)))
+
+
+@st.composite
+def _oracle_cases(draw):
+    src_lat = draw(
+        st.one_of(
+            _axis(-90, 90, 5),
+            _axis(-90, 90, 4).map(lambda v: tuple(sorted({-90.0, 90.0, *v}))),
+        )
+    )
+    n_circle = draw(st.sampled_from([0, 3, 8, 24]))
+    if n_circle:  # the whole circle, so a nearest center can lie across ±180°
+        start = draw(st.sampled_from([-180.0, -172.5, 0.0]))
+        src_lon = tuple(start + 360.0 * k / n_circle for k in range(n_circle))
+    else:
+        src_lon = draw(_axis(-200, 200, 6))
+    i = st.integers(0, len(src_lat) - 1)
+    j = st.integers(0, len(src_lon) - 1)
+
+    def mid(axis, k):
+        return (axis[k] + axis[min(k + 1, len(axis) - 1)]) / 2
+
+    target = st.one_of(
+        st.tuples(i, j).map(lambda ij: (src_lat[ij[0]], src_lon[ij[1]])),
+        st.tuples(i, j).map(lambda ij: (mid(src_lat, ij[0]), mid(src_lon, ij[1]))),
+        st.tuples(i, j).map(lambda ij: (src_lat[ij[0]], mid(src_lon, ij[1]))),
+        st.tuples(st.floats(-90, 90), st.floats(-540, 540)),
+        st.tuples(st.sampled_from([-90.0, 90.0]), st.floats(-180, 180)),
+    )
+    return src_lat, src_lon, tuple(draw(st.lists(target, min_size=1, max_size=8)))
 
 
 class TestNearest:
@@ -111,6 +154,44 @@ class TestNearest:
     def test_empty_source(self):
         with pytest.raises(ValueError, match="empty source"):
             CoarseGrid(np.array([]), np.array([-120.0]), {})
+
+    def test_pole_target_across_an_equidistant_row(self):
+        # Every center of the 0° row is 90° from the pole, so rounding alone
+        # decides the minimum; a search over a few candidates can miss it.
+        src = CoarseGrid(np.array([-30.0, 0.0]), np.arange(-180.0, 166.0, 15.0), {})
+        lat, lon = np.array([90.0]), np.array([-63.2])
+        assert brute_force_nearest(src, lat, lon)[0] == 24
+        assert nearest_indices(src, lat, lon)[0] == 24
+
+    @pytest.mark.parametrize("lat, lon", [(np.nan, 10.0), (50.0, np.inf)])
+    def test_non_finite_target_rejected(self, lat, lon):
+        src = CoarseGrid(np.array([50.0, 51.0]), np.array([9.0, 10.0]), {})
+        with pytest.raises(ValueError, match=r"non-finite target 1: lat"):
+            nearest_indices(src, np.array([50.5, lat]), np.array([9.5, lon]))
+
+    def test_target_beyond_a_pole_rejected(self):
+        src = CoarseGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), {})
+        with pytest.raises(ValueError, match=r"target latitude outside \[-90, 90\]"):
+            nearest_indices(src, np.array([0.5, -90.5]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("lat, lon", [([0.0, 91.0], [0.0]), ([np.nan], [0.0]), ([0.0], [np.inf])])
+    def test_source_axis_off_the_sphere_rejected(self, lat, lon):
+        with pytest.raises(ValueError, match=r"lat axis must lie in \[-90, 90\]"):
+            CoarseGrid(np.array(lat), np.array(lon), {})
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_oracle_cases())
+    @example(case=((-30.0, 0.0), tuple(np.arange(-180.0, 166.0, 15.0)), ((90.0, -63.2),)))
+    def test_matches_oracle(self, case):
+        """Uneven rows and columns, single rows or columns, longitudes round
+        the whole circle and rows at the poles; targets on centers, on
+        midpoints (exact ties), outside the extent and at a pole."""
+        src_lat, src_lon, targets = case
+        src = CoarseGrid(np.array(src_lat), np.array(src_lon), {})
+        lat, lon = (np.array(v, dtype=np.float64) for v in zip(*targets))
+        np.testing.assert_array_equal(
+            nearest_indices(src, lat, lon), brute_force_nearest(src, lat, lon)
+        )
 
 
 def brute_bilinear(src, name, la, lo):
@@ -289,6 +370,35 @@ class TestBuildSurface:
         f2 = ds.expand_2d("FMAX", aksp_mini)
         assert f2.shape == (32, 32)
         assert np.all(np.isnan(f2[aksp_mini.mask == 0]))
+
+
+def test_no_scipy_in_any_module_or_surface_build():
+    """Importing every kiloland module and building a surface loads no
+    scipy, so neither a process nor a forked rank carries its pages."""
+    import kiloland
+
+    code = (
+        "import pkgutil, sys\n"
+        "import kiloland\n"
+        "for m in pkgutil.iter_modules(kiloland.__path__):\n"
+        "    __import__('kiloland.' + m.name)\n"
+        "from conftest import make_aksp_mini\n"
+        "from kiloland.domain import compact\n"
+        "from kiloland.surface import build_surface, synth_coarse_source\n"
+        "d = make_aksp_mini()\n"
+        "lat, lon = compact(d.yc, d), compact(d.xc, d)\n"
+        "src = synth_coarse_source(7, (lat.min() - 1, lat.max() + 1),\n"
+        "                          (lon.min() - 1, lon.max() + 1))\n"
+        "build_surface(d, src, {name: 'nearest' for name in src.values})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(kiloland.__file__))
+    path = os.pathsep.join([src_dir, os.path.dirname(__file__)])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestSurfaceFile:
