@@ -5,8 +5,8 @@ Nearest-neighbor interpolation is geodesic (squared chord distance on the
 unit sphere, a monotone transform of great-circle distance) with ties
 resolved toward the lower flat source index, so results are reproducible
 and equal to a brute-force scan. The search is exact without a spatial
-index: bounds from the chord identity limit it to a few rows of the source
-and a window of columns in each. Bilinear interpolation operates
+index: a bound from the chord identity limits it to a few rows of the
+source, each evaluated in full. Bilinear interpolation operates
 on the lat/lon rectangle containing each target. Spline interpolation is
 deliberately unavailable.
 """
@@ -88,21 +88,20 @@ def _unit_vectors(lat_deg, lon_deg):
     return np.stack([cl * np.cos(lon), cl * np.sin(lon), np.sin(lat)], axis=-1)
 
 
-def _chord_sq(a, b):
-    diff = a - b
-    return (diff * diff).sum(axis=-1)
-
-
 def chord_sq(lat1, lon1, lat2, lon2):
     """Squared 3D chord distance between points on the unit sphere."""
-    return _chord_sq(_unit_vectors(lat1, lon1), _unit_vectors(lat2, lon2))
+    a = _unit_vectors(lat1, lon1)
+    b = _unit_vectors(lat2, lon2)
+    d = a - b
+    return (d * d).sum(axis=-1)
 
 
-# Targets searched per pass: the candidate arrays stay a few MiB.
-_CHUNK = 8192
-# Slack on a bound before it excludes a center: relative, and absolute for
-# targets on or very near a center. It is far above the rounding error of
-# any chord² (about 1e-15), so no computed minimum is ever excluded.
+# A chunk holds _CHUNK_CENTERS // nlon targets, so a row visit's distances
+# are one (targets, nlon) float64 array of at most 1 MiB.
+_CHUNK_CENTERS = 2**17
+# Slack on the row bound: relative, and absolute for targets on or very
+# near a center. It is far above the rounding error of any chord² (about
+# 1e-15), so no computed minimum is ever excluded.
 _REL, _ABS = 1e-9, 1e-12
 
 
@@ -110,12 +109,12 @@ def nearest_indices(src: CoarseGrid, lat, lon) -> np.ndarray:
     """Flat (row-major) index of the geodesically nearest source center per
     target; exact distance ties go to the lower flat index.
 
-    The search is exact: every center whose chord² could reach the minimum
-    is evaluated with the formula of `chord_sq`. It rests on the
-    identity chord² = 4 sin²(Δφ/2) + 4 cos φ cos φᵣ sin²(Δλ/2). The nearest
-    of the four centers bracketing a target bounds its minimum; the first
-    term then bounds the rows worth visiting, and the second the window of
-    columns in each of them."""
+    The search is exact: every center of every row whose chord² could reach
+    the minimum is evaluated with the formula of `chord_sq`. The nearest of
+    the four centers bracketing a target bounds its minimum, and the first
+    term of the identity chord² = 4 sin²(Δφ/2) + 4 cos φ cos φᵣ sin²(Δλ/2)
+    bounds each row from below, so only the rows within the bound are
+    visited, each in full."""
     lat, lon = np.broadcast_arrays(
         np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
     )
@@ -127,24 +126,33 @@ def nearest_indices(src: CoarseGrid, lat, lon) -> np.ndarray:
     if not np.all(np.abs(lat) <= 90.0):
         raise ValueError("target latitude outside [-90, 90]")
     glat, glon = np.meshgrid(src.lat, src.lon, indexing="ij")
-    centers = _unit_vectors(glat.ravel(), glon.ravel())
+    grid = np.moveaxis(_unit_vectors(glat, glon), -1, 0).copy()  # (3, nlat, nlon)
     phi, lam = np.radians(src.lat), np.radians(src.lon)
     out = np.empty(lat.size, dtype=np.int64)
-    for s in range(0, lat.size, _CHUNK):
-        e = s + _CHUNK
-        out[s:e] = _nearest_chunk(centers, phi, lam, lat[s:e], lon[s:e])
+    step = max(1, _CHUNK_CENTERS // lam.size)
+    for s in range(0, lat.size, step):
+        e = s + step
+        out[s:e] = _nearest_chunk(grid, phi, lam, lat[s:e], lon[s:e])
     return out
 
 
-def _expand(starts, counts):
-    """The ranges [starts[i], starts[i] + counts[i]), concatenated."""
-    offsets = np.cumsum(counts) - counts
-    return np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+def _chord_sq_to(c, t):
+    """`chord_sq` between targets t (n, 3) and centers c (3, n, ...), one
+    component at a time. (c - t)² equals (t - c)² exactly, and the squares
+    are summed left to right, as `chord_sq`'s sum over its last axis does,
+    so the values are equal."""
+    d2 = c[0] - t[:, 0, None]
+    d2 *= d2
+    for k in (1, 2):
+        d = c[k] - t[:, k, None]
+        d *= d
+        d2 += d
+    return d2
 
 
-def _nearest_chunk(centers, phi, lam, lat, lon) -> np.ndarray:
-    """`nearest_indices` for one chunk of targets; `centers` are the source's
-    unit vectors (row-major), `phi` and `lam` its axes in radians."""
+def _nearest_chunk(grid, phi, lam, lat, lon) -> np.ndarray:
+    """`nearest_indices` for one chunk of targets; `grid` holds the unit
+    vector components of the centers, `phi` and `lam` the axes in radians."""
     nlat, nlon = phi.size, lam.size
     n = lat.size
     t = _unit_vectors(lat, lon)
@@ -155,47 +163,30 @@ def _nearest_chunk(centers, phi, lam, lat, lon) -> np.ndarray:
     j = np.searchsorted(lam, np.radians(lon))
     rows = np.clip(np.stack([i - 1, i], axis=1), 0, nlat - 1)
     cols = np.clip(np.stack([j - 1, j], axis=1), 0, nlon - 1)
-    seeds = (rows[:, :, None] * nlon + cols[:, None, :]).reshape(n, 4)
-    d2 = _chord_sq(centers[seeds], t[:, None, :])
-    seed = seeds[np.arange(n), d2.argmin(axis=1)]
-    bound = d2.min(axis=1) * (1 + _REL) + _ABS
+    seeds = grid[:, rows[:, :, None], cols[:, None, :]].reshape(3, n, 4)
+    bound = _chord_sq_to(seeds, t).min(axis=1) * (1 + _REL) + _ABS
 
     # Rows whose 4 sin²(Δφ/2) is within the bound: |Δφ| <= 2 asin(√(bound/4)).
     half = 2 * np.arcsin(np.sqrt(np.minimum(bound / 4, 1.0)))
     r0 = np.searchsorted(phi, phi_t - half, side="left")
     n_rows = np.searchsorted(phi, phi_t + half, side="right") - r0
-    pt = np.repeat(np.arange(n), n_rows)  # target of each (target, row) pair
-    pr = _expand(r0, n_rows)  # row of each pair
 
-    # Columns within the rest of the bound: |Δλ| <= w on the circle, where w
-    # reaches π (the whole row) near a pole. The window is centered on the
-    # longitude of the target's own unit vector and searched at every 2π
-    # shift that can meet the source's longitudes.
-    rest = bound[pt] - 4 * np.sin((phi_t[pt] - phi[pr]) / 2) ** 2
-    scale = 4 * np.cos(phi_t)[pt] * np.cos(phi)[pr]
-    w = 2 * np.arcsin(np.sqrt(np.clip(rest / scale, 0.0, 1.0)))
-    two_pi = 2 * np.pi
-    shifts = two_pi * np.arange(np.ceil(lam[0] / two_pi) - 1, np.floor(lam[-1] / two_pi) + 2)
-    center = np.arctan2(t[:, 1], t[:, 0])[pt, None] + shifts
-    lo = np.searchsorted(lam, center - w[:, None], side="left")
-    hi = np.searchsorted(lam, center + w[:, None], side="right")
-    full = w >= np.pi
-    lo[full], hi[full] = 0, 0
-    hi[full, 0] = nlon
-    counts = hi - lo
-    window = _expand((pr[:, None] * nlon + lo).ravel(), counts.ravel())
-
-    # Each target's candidates are its seed, then its windows; the answer is
-    # the lowest flat index among those at the minimum chord².
-    per_pair = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
-    pair_end = np.cumsum(n_rows)
-    n_window = per_pair[pair_end] - per_pair[pair_end - n_rows]
-    cand = np.insert(window, np.cumsum(n_window) - n_window, seed)
-    seg = n_window + 1
-    starts = np.cumsum(seg) - seg
-    d2 = _chord_sq(centers[cand], np.repeat(t, seg, axis=0))
-    is_min = d2 == np.repeat(np.minimum.reduceat(d2, starts), seg)
-    return np.minimum.reduceat(np.where(is_min, cand, nlat * nlon), starts)
+    # Visit each target's rows in increasing order; argmin keeps the lowest
+    # column of a row and a later row wins only if strictly nearer, so
+    # exact ties keep the lower flat index.
+    best = np.full(n, np.inf)
+    out = np.empty(n, dtype=np.int64)
+    for k in range(n_rows.max()):
+        m = np.flatnonzero(n_rows > k)
+        r = r0[m] + k
+        d2 = _chord_sq_to(grid[:, r], t[m])
+        col = d2.argmin(axis=1)
+        d2 = d2[np.arange(m.size), col]
+        nearer = d2 < best[m]
+        m = m[nearer]
+        best[m] = d2[nearer]
+        out[m] = r[nearer] * nlon + col[nearer]
+    return out
 
 
 def interp_nearest(src: CoarseGrid, lat, lon, idx=None) -> dict:
@@ -352,6 +343,8 @@ def synth_coarse_source(
     surface variables plus `n_extra` generic ones."""
     rng = np.random.default_rng([seed, 0x5F])
     lat = np.arange(lat_range[0], lat_range[1] + spacing / 2, spacing)
+    # A padded range may pass a pole: the rows beyond it become the pole.
+    lat = np.unique(np.clip(lat, -90.0, 90.0))
     lon = np.arange(lon_range[0], lon_range[1] + spacing / 2, spacing)
     nlat, nlon = lat.size, lon.size
     values = {}

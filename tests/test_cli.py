@@ -137,6 +137,21 @@ class TestDomainTools:
 
         assert read_domain(os.path.join(out, "x3.nc")).n_copies == 3
 
+    @pytest.mark.parametrize("method", ["nearest", "bilinear"])
+    def test_gen_surface_near_the_pole(self, tmp_path, capsys, method):
+        # The source is padded by 1° past the land, so here its range passes
+        # the pole; it keeps only the rows that lie on the sphere.
+        from kiloland.domain import compact, read_domain
+
+        out = str(tmp_path)
+        assert run_cli("make-domain", "--rows", "16", "--cols", "16",
+                       "--center-lat", "89.5", "--out", out) == 0
+        domain = os.path.join(out, "domain.nc")
+        d = read_domain(domain)
+        assert compact(d.yc, d).max() > 89.0
+        assert run_cli("gen-surface", "--domain", domain, "--method", method,
+                       "--out", out) == 0
+
 
 class TestRunAndCompare:
     def test_pipeline_run_then_compare_golden(self, pipeline, capsys):
