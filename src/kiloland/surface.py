@@ -96,8 +96,8 @@ def chord_sq(lat1, lon1, lat2, lon2):
     return (d * d).sum(axis=-1)
 
 
-# A chunk holds _CHUNK_CENTERS // nlon targets, so a row visit's distances
-# are one (targets, nlon) float64 array of at most 1 MiB.
+# A chunk holds _CHUNK_CENTERS // nlon targets, so a row visit works on two
+# (targets, nlon) float64 arrays of at most 1 MiB each.
 _CHUNK_CENTERS = 2**17
 # Slack on the row bound: relative, and absolute for targets on or very
 # near a center. It is far above the rounding error of any chord² (about
@@ -136,15 +136,18 @@ def nearest_indices(src: CoarseGrid, lat, lon) -> np.ndarray:
     return out
 
 
-def _chord_sq_to(c, t):
-    """`chord_sq` between targets t (n, 3) and centers c (3, n, ...), one
-    component at a time. (c - t)² equals (t - c)² exactly, and the squares
-    are summed left to right, as `chord_sq`'s sum over its last axis does,
-    so the values are equal."""
-    d2 = c[0] - t[:, 0, None]
+def _chord_sq_to(c, idx, t):
+    """`chord_sq` between targets t (n, 3) and the centers c[k][idx] (n, ...),
+    where c holds the centers' unit vector components, one component at a
+    time. (c - t)² equals (t - c)² exactly, and the squares are summed left
+    to right, as `chord_sq`'s sum over its last axis does, so the values
+    are equal."""
+    d2 = c[0][idx]
+    d2 -= t[:, 0, None]
     d2 *= d2
     for k in (1, 2):
-        d = c[k] - t[:, k, None]
+        d = c[k][idx]
+        d -= t[:, k, None]
         d *= d
         d2 += d
     return d2
@@ -163,8 +166,8 @@ def _nearest_chunk(grid, phi, lam, lat, lon) -> np.ndarray:
     j = np.searchsorted(lam, np.radians(lon))
     rows = np.clip(np.stack([i - 1, i], axis=1), 0, nlat - 1)
     cols = np.clip(np.stack([j - 1, j], axis=1), 0, nlon - 1)
-    seeds = grid[:, rows[:, :, None], cols[:, None, :]].reshape(3, n, 4)
-    bound = _chord_sq_to(seeds, t).min(axis=1) * (1 + _REL) + _ABS
+    seeds = (rows[:, :, None] * nlon + cols[:, None, :]).reshape(n, 4)
+    bound = _chord_sq_to(grid.reshape(3, -1), seeds, t).min(axis=1) * (1 + _REL) + _ABS
 
     # Rows whose 4 sin²(Δφ/2) is within the bound: |Δφ| <= 2 asin(√(bound/4)).
     half = 2 * np.arcsin(np.sqrt(np.minimum(bound / 4, 1.0)))
@@ -179,7 +182,7 @@ def _nearest_chunk(grid, phi, lam, lat, lon) -> np.ndarray:
     for k in range(n_rows.max()):
         m = np.flatnonzero(n_rows > k)
         r = r0[m] + k
-        d2 = _chord_sq_to(grid[:, r], t[m])
+        d2 = _chord_sq_to(grid, r, t[m])
         col = d2.argmin(axis=1)
         d2 = d2[np.arange(m.size), col]
         nearer = d2 < best[m]
