@@ -52,6 +52,8 @@ __all__ = [
 
 STEPS_PER_DAY = 8
 STEP_HOURS = 3.0
+# Bound on one row chunk that a column-subset read decodes from.
+COLUMN_CHUNK_BYTES = 64 * 2**20
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -288,8 +290,8 @@ def synth_forcing(seed: int, d: DomainSpec, months: list) -> list:
 # per forcing field plus a float64 time axis in hours since period start.
 
 
-def forcing_filename(year: int, month: int, group: str = "met") -> str:
-    return f"forcing_{group}_{year:04d}-{month:02d}.nc"
+def forcing_filename(year: int, month: int) -> str:
+    return f"forcing_met_{year:04d}-{month:02d}.nc"
 
 
 def forcing_file_model(n_land: int, variant: str = cdf.CDF5) -> cdf.CdfModel:
@@ -551,13 +553,14 @@ def _join(parts: list) -> np.ndarray:
 
 def _read_columns(f: cdf.CdfFile, name: str, n_land: int, columns, r0: int, r1: int):
     """Read records [r0, r1) of a (time, gridcell) variable; a `columns`
-    subset is read in row chunks bounded to ~64 MiB, each into one reused
-    buffer in the file's byte order, and only the kept columns are decoded."""
+    subset is read in row chunks bounded to `COLUMN_CHUNK_BYTES` (64 MiB),
+    each into one reused buffer in the file's byte order, and only the kept
+    columns are decoded."""
     if columns is None:
         return f.read_slab(name, (r0, 0), (r1 - r0, n_land))
     columns = np.asarray(columns)
     stored = np.dtype(f.model.var(name).nc_type.dtype)
-    chunk = max(1, (64 * 2**20) // max(n_land * stored.itemsize, 1))
+    chunk = max(1, COLUMN_CHUNK_BYTES // max(n_land * stored.itemsize, 1))
     buf = np.empty((min(chunk, r1 - r0), n_land), dtype=stored)
     out = np.empty((r1 - r0, columns.size), dtype=stored.newbyteorder("="))
     for a in range(r0, r1, chunk):

@@ -10,10 +10,13 @@ copy->source mapping, which makes a replicated run's output exactly k
 copies of the base output. Output files carry no wall-clock metadata, so
 equal runs produce byte-equal files.
 
-A multi-worker run forks one process per land rank that lives for the
-whole run. Each rank's state, history sums and coupler bundle sit in
-anonymous shared memory, so a segment sends a worker only its step range,
-and the coordinator writes history and restarts from the shared arrays.
+Each land rank owns its state, history sums and coupler bundle for the
+whole run, and only `_run_worker_segment` writes them, in place. A single
+rank steps in the coordinator, in private memory. With more ranks, each
+rank's arrays move into anonymous shared memory and one forked process per
+rank steps it for the whole run, so a segment sends a worker only its step
+range, and the coordinator writes history and restarts from the shared
+arrays.
 Set-up scans the forcing files once (`forcing_files`), and hour 0 of a run
 is their first record; each segment opens one windowed stream per rank on
 that scan. An exception in a worker is raised again in the caller with its
@@ -44,7 +47,8 @@ import numpy as np
 
 from . import cdf, write_provenance
 from .decomp import (
-    DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, build_iodecomp, make_plan, partition, rearrange_write,
+    DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, build_iodecomp, make_plan, partition,
+    rearrange_write,
 )
 from .domain import read_domain, read_domain_header, replicate, write_domain
 from .forcing import STEP_HOURS, ForcingFiles, ForcingStream, VARIABLES, forcing_files
@@ -230,7 +234,7 @@ class CaseConfig:
     seed: int = 7
     lnd_workers: int = 1
     partition_scheme: str = "round_robin"
-    block_size: int = 64
+    block_size: int = DEFAULT_BLOCK_SIZE
     n_aggregators: int = 1
     buffer_limit: int = DEFAULT_BUFFER_LIMIT
     params: ToyParams = field(default_factory=ToyParams)
@@ -337,7 +341,7 @@ class _RunState:
     total_days: int
     state: dict  # global STATE_VARS arrays
     sums: np.ndarray  # (len(HIST_VARS), n_land) history accumulators
-    bundle: dict | None  # last coupler fields; None on a fresh run
+    bundle: dict  # last coupler fields; zeros on a fresh run
 
 
 @dataclass
@@ -347,7 +351,7 @@ class _Rank:
     columns: np.ndarray | None  # forcing file columns; None reads them as stored
     state: dict
     sums: np.ndarray
-    bundle: dict | None
+    bundle: dict
     timers: TimerTree
 
 
@@ -386,7 +390,10 @@ class _Coupler:
 
 
 def _run_worker_segment(task: _WorkerTask) -> _Rank:
-    """Step one rank through [step_lo, step_hi); returns the updated rank."""
+    """Step one rank through [step_lo, step_hi) and return it. This is the
+    only code that writes a rank's arrays: the history sums accumulate in
+    place, and the last step's state and coupler bundle are copied into the
+    rank's own arrays, so they stay the same objects for the whole run."""
     rank = task.rank
     atm, cpl, lnd = (rank.timers.child(region) for region in ("atm", "cpl", "lnd"))
     window = (task.step_lo * task.dt_hours, (task.step_hi - 1) * task.dt_hours)
@@ -404,7 +411,9 @@ def _run_worker_segment(task: _WorkerTask) -> _Rank:
         with lnd.timed():
             state, diag = step_cells(state, bundle, task.params, task.dt_hours)
             sums += diag
-    rank.state, rank.bundle = state, bundle
+    for own, last in ((rank.state, state), (rank.bundle, bundle)):
+        for k, v in own.items():
+            v[...] = last[k]
     return rank
 
 
@@ -422,21 +431,15 @@ def _shared(arrays: dict) -> dict:
 
 def _serve_rank(conn, rank: _Rank, dt_hours: float, params: ToyParams, forcing: ForcingFiles):
     """A rank worker's loop. For each (lo, hi) the coordinator sends, step
-    the rank through `_run_worker_segment`, copy its new state and bundle
-    into the rank's shared arrays and reply None, or (exception, its
-    traceback) if one was raised. On None, reply with the rank's timers and
-    return."""
-    state, bundle = rank.state, rank.bundle
+    the rank through `_run_worker_segment`, which writes the rank's shared
+    arrays in place, and reply None, or (exception, its traceback) if one
+    was raised. On None, reply with the rank's timers and return."""
     while (segment := conn.recv()) is not None:
         try:
-            out = _run_worker_segment(_WorkerTask(*segment, dt_hours, params, forcing, rank))
-            for shared, new in ((state, out.state), (bundle, out.bundle)):
-                for k, v in shared.items():
-                    v[...] = new[k]
+            _run_worker_segment(_WorkerTask(*segment, dt_hours, params, forcing, rank))
             reply = None
         except Exception as e:
             reply = (e, "".join(traceback.format_exception(e)))
-        rank.state, rank.bundle = state, bundle
         conn.send(reply)
     conn.send(rank.timers)
 
@@ -446,28 +449,32 @@ class _RemoteTraceback(Exception):
 
 
 class _RankWorkers:
-    """One forked process per land rank, alive for the whole run.
+    """The run's land ranks, stepped segment by segment.
 
-    Each rank's state, history sums and coupler bundle move into shared
-    memory before the fork, so the coordinator sends a worker only a
-    segment's (lo, hi) and reads, resets and writes the rank's arrays in
-    place between segments; no rank is pickled. A worker's exception is
-    raised again here with its type and message; a worker that dies raises
-    `ChildProcessError` naming the rank and its exit code."""
+    Only `_run_worker_segment` writes a rank's arrays, in place, so the
+    coordinator reads, resets and writes them between segments wherever
+    they live. A single rank steps in the coordinator and keeps its arrays
+    in private memory (shared memory measured slower on one worker). With
+    more ranks, each rank's state, history sums and coupler bundle move
+    into shared memory and one process per rank is forked, alive for the
+    whole run: the coordinator sends it only a segment's (lo, hi), and no
+    rank is pickled. A worker's exception is raised again here with its
+    type and message; a worker that dies raises `ChildProcessError` naming
+    the rank and its exit code."""
 
     def __init__(self, ranks: list, dt_hours: float, params: ToyParams, forcing: ForcingFiles):
-        ctx = multiprocessing.get_context("fork")
         self.ranks, self.procs, self.conns = ranks, [], []
+        self.segment_args = (dt_hours, params, forcing)
+        if len(ranks) == 1:
+            return
+        ctx = multiprocessing.get_context("fork")
         try:
             for rank in ranks:
                 rank.state = _shared(rank.state)
                 rank.sums = _shared({"sums": rank.sums})["sums"]
-                # A fresh run's bundle is filled in by the first segment.
-                n = rank.sums.shape[1]
-                rank.bundle = _shared(rank.bundle or {k: np.zeros(n) for k in VARIABLES})
+                rank.bundle = _shared(rank.bundle)
                 conn, child = ctx.Pipe()
-                proc = ctx.Process(target=_serve_rank,
-                                   args=(child, rank, dt_hours, params, forcing))
+                proc = ctx.Process(target=_serve_rank, args=(child, rank, *self.segment_args))
                 proc.start()
                 child.close()
                 self.procs.append(proc)
@@ -501,7 +508,10 @@ class _RankWorkers:
         raise ChildProcessError(f"land rank {r} worker exited with code {proc.exitcode}")
 
     def run_segment(self, lo: int, hi: int):
-        self._ask((lo, hi))
+        if self.procs:
+            self._ask((lo, hi))
+        else:
+            _run_worker_segment(_WorkerTask(lo, hi, *self.segment_args, self.ranks[0]))
 
     def finish(self):
         """Take back each rank's timers; the workers then exit."""
@@ -644,8 +654,7 @@ class _Run:
                     state={k: run.state[k][cells] for k in STATE_VARS},
                     # take() keeps each rank's rows C-ordered; [:, cells] would not.
                     sums=run.sums.take(cells, axis=1),
-                    bundle=None if run.bundle is None
-                    else {k: v[cells] for k, v in run.bundle.items()},
+                    bundle={k: v[cells] for k, v in run.bundle.items()},
                     timers=TimerTree(f"rank{r}"),
                 )
                 for r, cells in enumerate(self.part.local_lists)
@@ -672,7 +681,7 @@ class _Run:
             total_days=cfg.n_days,
             state={k: v.take(scols) for k, v in state.items()},
             sums=np.zeros((len(HIST_VARS), self.n_land)),
-            bundle=None,
+            bundle={k: np.zeros(self.n_land) for k in VARIABLES},
         )
 
     def _load_restart(self, entries, extra_days) -> _RunState:
@@ -732,22 +741,19 @@ class _Run:
         # A zero-step resume runs one empty segment, which rewrites the
         # bundle (and any history still accumulating) identically.
         segments = list(zip(boundaries[:-1], boundaries[1:])) or [(self.total_steps,) * 2]
-        workers = None
-        if cfg.lnd_workers > 1:
-            workers = _RankWorkers(self.ranks, cfg.dt_hours, cfg.params, self.forcing)
+        workers = _RankWorkers(self.ranks, cfg.dt_hours, cfg.params, self.forcing)
         try:
             for lo, hi in segments:
                 if hi > lo:
-                    self._run_segment(lo, hi, workers)
+                    workers.run_segment(lo, hi)
+                    self.count += hi - lo
                 if hi in hist_events and self.count > 0:
                     self._flush_history(hi, reset=cfg.history_interval != "end_of_run")
                 if hi in rest_events:
                     self._write_restart(hi)
-            if workers is not None:
-                workers.finish()
+            workers.finish()
         finally:
-            if workers is not None:
-                workers.close()
+            workers.close()
         merged = merge_timers([r.timers for r in self.ranks]).children
         component_seconds = {}
         for region in ("atm", "cpl", "lnd"):
@@ -767,19 +773,6 @@ class _Run:
             init_seconds=self.timers.total("init"),
             write_stats=self.write_stats,
         )
-
-    def _run_segment(self, lo, hi, workers):
-        cfg = self.cfg
-        if workers is None:
-            self.ranks = [
-                _run_worker_segment(
-                    _WorkerTask(lo, hi, cfg.dt_hours, cfg.params, self.forcing, rank)
-                )
-                for rank in self.ranks
-            ]
-        else:
-            workers.run_segment(lo, hi)
-        self.count += hi - lo
 
     # -- output --------------------------------------------------------------
 

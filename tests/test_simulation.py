@@ -563,12 +563,13 @@ class TestRunCase:
             requests.append((t, tuple(out)))
             return out
 
-        segments = []  # (step_hi, bundle)
+        segments = []  # (step_hi, copy of the bundle)
         run_segment = simulation._run_worker_segment
 
         def segment(task):
             result = run_segment(task)
-            segments.append((task.step_hi, result.bundle))
+            # The next segment updates the rank's bundle in place.
+            segments.append((task.step_hi, {k: v.copy() for k, v in result.bundle.items()}))
             return result
 
         monkeypatch.setattr(ForcingStream, "fields_at", recording)
@@ -840,6 +841,70 @@ class TestRankWorkers:
         with pytest.raises(ValueError, match="^boom$"):
             run_case(cfg, str(tmp_path / "boom"))
         assert multiprocessing.active_children() == []
+
+    def test_only_the_segment_writes_a_rank_in_place(self, mini_inputs, tmp_path, monkeypatch):
+        from kiloland import simulation
+
+        run_segment, step = simulation._run_worker_segment, simulation.step_cells
+        steps = []  # (forcing, new state, diagnostics) of each step, copied
+
+        def recording_step(state, forcing, p, dt):
+            new, diag = step(state, forcing, p, dt)
+            steps.append(tuple({k: np.array(v) for k, v in d.items()}
+                               for d in (forcing, new)) + (diag.copy(),))
+            return new, diag
+
+        def arrays(rank):
+            return [*rank.state.values(), rank.sums, *rank.bundle.values()]
+
+        owned, checked = [], []
+
+        def segment(task):
+            rank = task.rank
+            owned.extend([] if owned else arrays(rank))
+            assert all(a is b for a, b in zip(arrays(rank), owned, strict=True))
+            sums = rank.sums.copy()
+            steps.clear()
+            assert run_segment(task) is rank
+            assert all(a is b for a, b in zip(arrays(rank), owned, strict=True))
+            forcing, state, _ = steps[-1]
+            for own, last in ((rank.state, state), (rank.bundle, forcing)):
+                assert list(own) == list(last)
+                for k, v in own.items():
+                    assert v.tobytes() == last[k].tobytes(), k
+            for *_, diag in steps:
+                sums += diag
+            assert rank.sums.tobytes() == sums.tobytes()
+            checked.append(task.step_hi)
+            return rank
+
+        monkeypatch.setattr(simulation, "step_cells", recording_step)
+        monkeypatch.setattr(simulation, "_run_worker_segment", segment)
+        cfg = make_case_config(mini_inputs, history_interval="daily",
+                               restart_interval="every:2d", n_days=4)
+        run_case(cfg, str(tmp_path / "w1"))
+        assert checked == [24, 48, 72, 96]
+
+    def test_single_rank_is_neither_shared_nor_forked(self, mini_inputs, tmp_path,
+                                                      monkeypatch):
+        import multiprocessing
+
+        from kiloland import simulation
+
+        def refuse(arrays):
+            raise AssertionError("a single rank was put in shared memory")
+
+        run_segment, children = simulation._run_worker_segment, []
+
+        def segment(task):
+            children.append(multiprocessing.active_children())
+            return run_segment(task)
+
+        monkeypatch.setattr(simulation, "_shared", refuse)
+        monkeypatch.setattr(simulation, "_run_worker_segment", segment)
+        cfg = make_case_config(mini_inputs, history_interval="daily", n_days=3)
+        run_case(cfg, str(tmp_path / "w1"))
+        assert children == [[], [], []]
 
     def test_provenance_independent_of_input_location(self, mini_inputs, tmp_path):
         import shutil
