@@ -861,7 +861,8 @@ class TestRankWorkers:
 
         def segment(task):
             rank = task.rank
-            owned.extend([] if owned else arrays(rank))
+            if not owned:
+                owned.extend(arrays(rank))
             assert all(a is b for a, b in zip(arrays(rank), owned, strict=True))
             sums = rank.sums.copy()
             steps.clear()
