@@ -637,8 +637,22 @@ class CdfFile:
         return self.model.var_shape(self.model.var(name), self.numrecs)
 
     def read(self, name: str) -> np.ndarray:
+        """The whole variable, in native byte order. A variable with a
+        `checksum` attribute is read into a big-endian array, and the CRC-32
+        of those stored bytes must match it before they are swapped in place;
+        read_slab verifies nothing."""
+        v = self.model.var(name)
         shape = self.shape(name)
-        return self.read_slab(name, (0,) * len(shape), shape)
+        start = (0,) * len(shape)
+        want = v.attrs.get("checksum")
+        if want is None:
+            return self.read_slab(name, start, shape)
+        stored = self.read_slab(name, start, shape, out=np.empty(shape, dtype=v.nc_type.dtype))
+        got = f"{zlib.crc32(stored):08x}"
+        if got != want:
+            raise CdfError(f"{name}: checksum mismatch (attribute {want}, data {got})")
+        native = stored.dtype.newbyteorder("=")
+        return stored if native == stored.dtype else stored.byteswap(inplace=True).view(native)
 
     def read_slab(self, name: str, start: tuple, count: tuple, out=None) -> np.ndarray:
         """Read a rectangular hyperslab (start/count per dimension) and

@@ -1,16 +1,17 @@
 """Static domain decomposition and the parallel-write pipeline.
 
 Three gridcell partitioning schemes (round-robin, block, block
-round-robin) assign cells to ranks; an I/O decomposition maps each rank's
-local elements of a variable to global file offsets; a write gathers the
-ranks' data once and each aggregator writes its contiguous offset range of
-it through one cdf writer, flushing at a configurable buffer limit. The
-emitted bytes are bit-identical to a serial write for every scheme,
-aggregator count, and buffer size.
+round-robin) assign cells to ranks; the I/O decomposition of a gridcell
+variable is those cell lists, each cell's file offset being its global id;
+a write gathers the ranks' data once and each aggregator writes its
+contiguous offset range of it through one cdf writer, flushing at a
+configurable buffer limit. The emitted bytes are bit-identical to a serial
+write for every scheme, aggregator count, and buffer size.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +29,6 @@ __all__ = [
     "BLOCK_ROUND_ROBIN",
     "SCHEMES",
     "WriteStats",
-    "build_iodecomp",
     "make_plan",
     "partition",
     "rearrange_write",
@@ -93,32 +93,20 @@ def partition(n_cells: int, n_ranks: int, scheme: str, block_size: int | None = 
 
 @dataclass
 class IoDecomp:
-    """Map from each rank's local elements to global flat offsets of one
-    variable whose innermost dimension is the gridcell axis.
-
-    A variable with `lead` leading elements (product of non-gridcell,
-    non-record dims) stores element (L, cell) at offset L*n_cells + cell.
-    Local data is laid out (lead, n_local), flattened row-major. Each
-    rank's offsets are computed once, at construction, and must cover
-    [0, total) exactly once.
+    """The I/O decomposition of a gridcell variable: rank r's local element
+    i goes to file offset `part.local_lists[r][i]`. Every run output is one
+    value per gridcell, so the partition's cell lists are the whole map.
+    Construction checks once that they cover [0, n_cells) exactly once.
     """
 
     part: Partition
-    lead: int
-    n_cells: int
-    rank_offsets: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        base = np.arange(self.lead, dtype=np.int64)[:, None] * self.n_cells
-        self.rank_offsets = [
-            (base + np.asarray(cells, dtype=np.int64)[None, :]).reshape(-1)
-            for cells in self.part.local_lists
-        ]
         total = self.total_elements
-        offs = np.concatenate(self.rank_offsets)
-        inside = (offs >= 0) & (offs < total)
-        counts = np.bincount(offs[inside], minlength=total)
-        bad = np.concatenate([offs[~inside], np.flatnonzero(counts != 1)])
+        cells = np.concatenate([np.asarray(c, dtype=np.int64) for c in self.part.local_lists])
+        inside = (cells >= 0) & (cells < total)
+        counts = np.bincount(cells[inside], minlength=total)
+        bad = np.concatenate([cells[~inside], np.flatnonzero(counts != 1)])
         if bad.size:
             raise ValueError(
                 f"rank offsets do not cover [0, {total}) exactly once "
@@ -127,55 +115,26 @@ class IoDecomp:
 
     @property
     def total_elements(self) -> int:
-        return self.lead * self.n_cells
-
-    def offsets(self, rank: int) -> np.ndarray:
-        return self.rank_offsets[rank]
+        return self.part.n_cells
 
     def gather(self, local_datas: list) -> np.ndarray:
         """Assemble the global flat array from per-rank local arrays."""
-        if len(local_datas) != len(self.rank_offsets):
-            raise ValueError(
-                f"{len(local_datas)} rank arrays for {len(self.rank_offsets)} ranks"
-            )
+        lists = self.part.local_lists
+        if len(local_datas) != len(lists):
+            raise ValueError(f"{len(local_datas)} rank arrays for {len(lists)} ranks")
         out = None
-        for rank, (local, offs) in enumerate(zip(local_datas, self.rank_offsets)):
+        for rank, (local, cells) in enumerate(zip(local_datas, lists)):
             local = np.asarray(local).reshape(-1)
-            if local.size != offs.size:
-                first = int(offs[min(local.size, offs.size - 1)]) if offs.size else None
+            if local.size != len(cells):
+                first = int(cells[min(local.size, len(cells) - 1)]) if len(cells) else None
                 raise ValueError(
-                    f"rank {rank} supplied {local.size} of {offs.size} elements "
+                    f"rank {rank} supplied {local.size} of {len(cells)} elements "
                     f"(first mismatch at offset {first})"
                 )
             if out is None:
                 out = np.empty(self.total_elements, dtype=local.dtype)
-            out[offs] = local
+            out[cells] = local
         return out
-
-    def scatter(self, global_data) -> list:
-        flat = np.asarray(global_data).reshape(-1)
-        if flat.size != self.total_elements:
-            raise ValueError(f"expected {self.total_elements} elements, got {flat.size}")
-        return [flat[offs] for offs in self.rank_offsets]
-
-
-def build_iodecomp(part: Partition, var_shape) -> IoDecomp:
-    """I/O decomposition for a variable shaped (*leading, gridcell).
-
-    The record dimension, if any, is excluded from `var_shape`; records are
-    rearranged one at a time. Raises `ValueError` naming the first offset
-    that the partition's ranks miss or repeat.
-    """
-    var_shape = tuple(int(n) for n in var_shape)
-    if not var_shape or var_shape[-1] != part.n_cells:
-        raise ValueError(
-            f"variable shape {var_shape} must end in the gridcell axis "
-            f"({part.n_cells} cells)"
-        )
-    lead = 1
-    for n in var_shape[:-1]:
-        lead *= n
-    return IoDecomp(part=part, lead=lead, n_cells=part.n_cells)
 
 
 @dataclass
@@ -256,10 +215,18 @@ def rearrange_write(
     range of it, flushing at most `buffer_limit` bytes at a time.
 
     The assembled bytes depend only on the decomposition, never on gather
-    order, so the file is bit-identical to a serial write.
+    order, so the file is bit-identical to a serial write. A record of
+    `var_name` must hold one value per gridcell.
     """
     plan.validate(iod.total_elements)
-    itemsize = writer.model.var(var_name).nc_type.size
+    var = writer.model.var(var_name)
+    per_record = math.prod(writer.model.var_shape(var, 1))
+    if per_record != iod.total_elements:
+        raise ValueError(
+            f"{var_name}: {per_record} elements per record, "
+            f"not one per gridcell ({iod.total_elements})"
+        )
+    itemsize = var.nc_type.size
     t0 = time.perf_counter()
     try:
         flat = iod.gather(local_datas)

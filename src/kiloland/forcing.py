@@ -148,7 +148,6 @@ class ShapeProfile:
     """Per-variable, per-day reference sub-daily profiles (8 steps)."""
 
     values: dict  # var -> (n_days, 8) float64
-    source: str = "synthetic-reanalysis-like"
 
 
 @dataclass

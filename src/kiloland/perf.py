@@ -31,7 +31,6 @@ __all__ = [
     "render_scaling_svg",
     "run_scaling_suite",
     "scaling_csv",
-    "speedup_table",
     "weak_efficiency",
 ]
 
@@ -175,6 +174,8 @@ class ScalingRecord:
 
 @dataclass
 class ScalingTable:
+    """Strong-scaling speedup, ideal speedup, and parallel efficiency."""
+
     records: list
     baseline_index: int = 0
 
@@ -191,11 +192,6 @@ class ScalingTable:
         self.speedup = [base.run_seconds / r.run_seconds for r in self.records]
         self.ideal = [r.n_cores / base.n_cores for r in self.records]
         self.efficiency = [s / i for s, i in zip(self.speedup, self.ideal)]
-
-
-def speedup_table(records: list, baseline_index: int = 0) -> ScalingTable:
-    """Strong-scaling speedup, ideal speedup, and parallel efficiency."""
-    return ScalingTable(list(records), baseline_index)
 
 
 def weak_efficiency(records: list, baseline_index: int = 0, tolerance: float = 0.05) -> list:

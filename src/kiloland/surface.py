@@ -278,11 +278,6 @@ class SurfaceDataset:
         if np.any((self.values["FMAX"] < 0) | (self.values["FMAX"] > 1)):
             raise ValueError("FMAX outside [0, 1]")
 
-    def expand_2d(self, name: str, d: DomainSpec, fill=np.nan):
-        from .domain import expand
-
-        return expand(self.values[name], d, fill=fill)
-
 
 def build_surface(d: DomainSpec, src: CoarseGrid, methods: dict) -> SurfaceDataset:
     """Interpolate every source variable to the land cells of a domain.

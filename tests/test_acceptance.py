@@ -15,7 +15,7 @@ import pytest
 
 from kiloland import cdf
 from kiloland.compare import check_replication, files_bit_identical
-from kiloland.decomp import SCHEMES, build_iodecomp, make_plan, partition, rearrange_write
+from kiloland.decomp import SCHEMES, IoDecomp, make_plan, partition, rearrange_write
 from kiloland.domain import Grid2D, build_domain
 from kiloland.forcing import (
     STEPS_PER_DAY,
@@ -26,10 +26,10 @@ from kiloland.forcing import (
 )
 from kiloland.perf import (
     ScalingRecord,
+    ScalingTable,
     bandwidth,
     compute_sypd,
     run_scaling_suite,
-    speedup_table,
     weak_efficiency,
 )
 from kiloland.simulation import (
@@ -190,11 +190,11 @@ def test_c05_aggregated_writes_match_serial(n_agg, buffer_limit):
 
     serial = cdf.write_file(None, model(), {"v": data})
     part = partition(n, 8, "round_robin")
-    iod = build_iodecomp(part, (n,))
+    iod = IoDecomp(part)
     plan = make_plan(iod.total_elements, n_agg, buffer_limit)
     buf = io.BytesIO()
     w = cdf.CdfWriter(buf, model())
-    rearrange_write(iod.scatter(data), iod, plan, w, "v")
+    rearrange_write([data[c] for c in part.local_lists], iod, plan, w, "v")
     w.close()
     assert buf.getvalue() == serial
 
@@ -309,7 +309,7 @@ def test_c06_table5_seconds_times_sypd_is_constant():
 def _lnd_efficiency_pct(points):
     """Strong efficiency (%) per core count of LND (cores, seconds) points."""
     records = [ScalingRecord("AKSPx10x10x3", "LND", p, 0.0, t, 5) for p, t in points]
-    table = speedup_table(records)
+    table = ScalingTable(records)
     return {r.n_cores: e * 100 for r, e in zip(records, table.efficiency)}
 
 

@@ -563,6 +563,38 @@ class TestChecksums:
         with pytest.raises(CdfError, match="out of order"):
             w.write_elements(name, start, np.ones(3), record=record)
 
+    def test_read_verifies_checksums(self, tmp_path):
+        """read() checks each checksum against the stored bytes: a flipped
+        data byte fails it, while compare_files still finds that element."""
+        from kiloland.compare import compare_files
+
+        rng = np.random.default_rng(7)
+        data = {"r": rng.standard_normal((3, 6)), "s": rng.standard_normal(6),
+                "i": np.arange(6, dtype=np.int32)}
+        good = tmp_path / "good.nc"
+        with open(good, "wb") as fh:
+            w = CdfWriter(fh, self.model(), numrecs=3, checksums=["r", "s", "i"])
+            for name, values in data.items():
+                w.write_full(name, values)
+            w.close()
+        with read_file(str(good)) as f:
+            begin = f.model.var("s").begin
+            for name, values in data.items():
+                got = f.read(name)
+                assert got.dtype.isnative
+                np.testing.assert_array_equal(got, values)
+        blob = bytearray(good.read_bytes())
+        blob[begin + 2 * 8 + 7] ^= 0x01  # the last byte of s[2]
+        bad = tmp_path / "bad.nc"
+        bad.write_bytes(bytes(blob))
+        with read_file(str(bad)) as f:
+            with pytest.raises(CdfError, match="s: checksum mismatch"):
+                f.read("s")
+            np.testing.assert_array_equal(f.read("r"), data["r"])
+        report = compare_files(str(good), str(bad))
+        assert {n: d.n_bit_differing for n, d in report.per_var.items()} == {"r": 0, "s": 1, "i": 0}
+        assert report.per_var["s"].first_diff_index == 2
+
     def test_unchecksummed_writes_in_any_order(self):
         buf = io.BytesIO()
         w = CdfWriter(buf, self.model(), numrecs=1, checksums=["s"])

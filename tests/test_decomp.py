@@ -12,8 +12,8 @@ from kiloland.decomp import (
     DEFAULT_BUFFER_LIMIT,
     ROUND_ROBIN,
     SCHEMES,
+    IoDecomp,
     Partition,
-    build_iodecomp,
     make_plan,
     partition,
     rearrange_write,
@@ -76,50 +76,51 @@ class TestPartition:
 class TestIoDecomp:
     def test_single_rank_identity(self):
         part = partition(6, 1, BLOCK)
-        iod = build_iodecomp(part, (6,))
-        np.testing.assert_array_equal(iod.offsets(0), np.arange(6))
+        np.testing.assert_array_equal(IoDecomp(part).gather([np.arange(6.0)]), np.arange(6.0))
 
     def test_round_robin_flat_example(self):
         part = partition(4, 2, ROUND_ROBIN)
-        iod = build_iodecomp(part, (4,))
-        np.testing.assert_array_equal(iod.offsets(0), [0, 2])
-        np.testing.assert_array_equal(iod.offsets(1), [1, 3])
-
-    def test_leading_dims(self):
-        part = partition(3, 2, ROUND_ROBIN)
-        iod = build_iodecomp(part, (2, 3))
-        # rank 0 owns cells {0, 2}: offsets 0,2 (level 0) and 3,5 (level 1)
-        np.testing.assert_array_equal(iod.offsets(0), [0, 2, 3, 5])
-        np.testing.assert_array_equal(iod.offsets(1), [1, 4])
-
-    def test_requires_gridcell_innermost(self):
-        part = partition(5, 2, BLOCK)
-        with pytest.raises(ValueError, match="gridcell"):
-            build_iodecomp(part, (5, 3))
+        out = IoDecomp(part).gather([np.array([10, 12]), np.array([11, 13])])
+        np.testing.assert_array_equal(out, [10, 11, 12, 13])
 
     @given(
         n=st.integers(1, 1000),
         p=st.integers(1, 7),
         scheme=st.sampled_from(SCHEMES),
-        lead=st.integers(1, 4),
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=60, deadline=None)
-    def test_scatter_gather_round_trip(self, n, p, scheme, lead, seed):
+    def test_scatter_gather_round_trip(self, n, p, scheme, seed):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             part = partition(n, p, scheme)
-        iod = build_iodecomp(part, (lead, n))
-        data = np.random.default_rng(seed).standard_normal(lead * n)
-        assert np.array_equal(iod.gather(iod.scatter(data)), data)
+        data = np.random.default_rng(seed).standard_normal(n)
+        assert np.array_equal(IoDecomp(part).gather([data[c] for c in part.local_lists]), data)
 
     def test_offsets_partition_the_space(self):
         part = partition(50, 7, BLOCK_ROUND_ROBIN, block_size=4)
-        iod = build_iodecomp(part, (3, 50))
-        all_offsets = np.concatenate([iod.offsets(r) for r in range(7)])
-        assert sorted(all_offsets) == list(range(150))
+        ranks = [np.full(len(cells), r) for r, cells in enumerate(part.local_lists)]
+        out = IoDecomp(part).gather(ranks)
+        np.testing.assert_array_equal(out, part.assignment)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_retains_under_one_byte_per_cell(self, p):
+        """The decomposition is the partition's cell lists: it keeps no
+        per-rank index array of its own."""
+        import tracemalloc
+
+        n = 1_000_000
+        part = partition(n, p, ROUND_ROBIN)
+        tracemalloc.start()
+        try:
+            iod = IoDecomp(part)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert iod.total_elements == n
+        assert retained < n
 
     @pytest.mark.parametrize(
         "local_lists, bad",
@@ -139,9 +140,7 @@ class TestIoDecomp:
             local_lists=[np.array(cells) for cells in local_lists],
         )
         with pytest.raises(ValueError, match=rf"exactly once \(first bad offset {bad}\)"):
-            build_iodecomp(part, (6,))
-        with pytest.raises(ValueError, match=rf"first bad offset {bad}\)"):
-            build_iodecomp(part, (2, 6))
+            IoDecomp(part)
 
 
 class TestPlan:
@@ -185,16 +184,16 @@ def write_pair(n_cells, p, n_agg, buffer_limit, scheme, rng, record_var=False):
     serial = cdf.write_file(None, model(), {"v": data}, numrecs=numrecs)
 
     part = partition(n_cells, p, scheme)
-    iod = build_iodecomp(part, (n_cells,))
+    iod = IoDecomp(part)
     plan = make_plan(iod.total_elements, n_agg, buffer_limit)
     buf = io.BytesIO()
     w = cdf.CdfWriter(buf, model(), numrecs=numrecs)
     if record_var:
         for rec in range(numrecs):
-            locals_ = iod.scatter(data[rec])
+            locals_ = [data[rec][c] for c in part.local_lists]
             rearrange_write(locals_, iod, plan, w, "v", record=rec)
     else:
-        locals_ = iod.scatter(data)
+        locals_ = [data[c] for c in part.local_lists]
         rearrange_write(locals_, iod, plan, w, "v")
     w.close()
     return serial, buf.getvalue()
@@ -221,12 +220,13 @@ class TestRearrangeWrite:
     def test_stats_and_csv(self, rng):
         n = 128
         part = partition(n, 4, BLOCK)
-        iod = build_iodecomp(part, (n,))
+        iod = IoDecomp(part)
         plan = make_plan(n, 2, 1024)
         model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("gridcell", n)])
         model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
         w = cdf.CdfWriter(io.BytesIO(), model)
-        stats = rearrange_write(iod.scatter(rng.standard_normal(n)), iod, plan, w, "v")
+        data = rng.standard_normal(n)
+        stats = rearrange_write([data[c] for c in part.local_lists], iod, plan, w, "v")
         w.close()
         assert stats.bytes_written == n * 8
         assert stats.per_aggregator_bytes == [64 * 8, 64 * 8]
@@ -251,11 +251,12 @@ class TestRearrangeWrite:
         )
         model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("time", "gridcell")))
         part = partition(n, 8, scheme)
-        iod = build_iodecomp(part, (n,))
+        iod = IoDecomp(part)
         plan = make_plan(n, 3, 1024)
         w = RecordingWriter(io.BytesIO(), model, numrecs=numrecs)
         for rec in range(numrecs):
-            rearrange_write(iod.scatter(rng.standard_normal(n)), iod, plan, w, "v", record=rec)
+            data = rng.standard_normal(n)
+            rearrange_write([data[c] for c in part.local_lists], iod, plan, w, "v", record=rec)
         w.close()
         chunks = [(0, 128), (128, 73), (201, 128), (329, 72), (401, 128), (529, 72)]
         assert calls == [(s, k, rec) for rec in range(numrecs) for s, k in chunks]
@@ -263,18 +264,19 @@ class TestRearrangeWrite:
     def test_rank_count_mismatch_rejected(self, rng):
         n = 16
         part = partition(n, 2, BLOCK)
-        iod = build_iodecomp(part, (n,))
+        iod = IoDecomp(part)
         model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("gridcell", n)])
         model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
         w = cdf.CdfWriter(io.BytesIO(), model)
-        locals_ = iod.scatter(rng.standard_normal(n))
+        data = rng.standard_normal(n)
+        locals_ = [data[c] for c in part.local_lists]
         with pytest.raises(ValueError, match="1 rank arrays for 2 ranks"):
             rearrange_write(locals_[:1], iod, make_plan(n, 1), w, "v")
 
     def test_data_for_an_empty_rank_rejected(self):
         with pytest.warns(UserWarning, match="empty ranks"):
             part = partition(3, 4, ROUND_ROBIN)
-        iod = build_iodecomp(part, (3,))
+        iod = IoDecomp(part)
         model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("gridcell", 3)])
         model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
         w = cdf.CdfWriter(io.BytesIO(), model)
@@ -282,15 +284,31 @@ class TestRearrangeWrite:
         with pytest.raises(ValueError, match="v: rank 3 supplied 1 of 0 elements"):
             rearrange_write(locals_, iod, make_plan(3, 1), w, "v")
 
+    @pytest.mark.parametrize("name, dims", [("levels", ("lev", "gridcell")), ("short", ("short",))])
+    def test_variable_without_one_value_per_gridcell_rejected(self, name, dims):
+        """A (2, n) or an (n - 1,) variable is not a gridcell variable."""
+        n = 16
+        part = partition(n, 2, BLOCK)
+        model = cdf.CdfModel(
+            variant=cdf.CDF5,
+            dims=[cdf.Dim("lev", 2), cdf.Dim("gridcell", n), cdf.Dim("short", n - 1)],
+        )
+        model.vars.append(cdf.Var(name, cdf.NcType.FLOAT64, dims))
+        w = cdf.CdfWriter(io.BytesIO(), model)
+        locals_ = [np.zeros(len(cells)) for cells in part.local_lists]
+        with pytest.raises(ValueError, match=rf"^{name}: .* not one per gridcell \(16\)"):
+            rearrange_write(locals_, IoDecomp(part), make_plan(n, 1), w, name)
+
     def test_integrity_error_names_offset(self, rng):
         n = 16
         part = partition(n, 2, BLOCK)
-        iod = build_iodecomp(part, (n,))
+        iod = IoDecomp(part)
         plan = make_plan(n, 1)
         model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("gridcell", n)])
         model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
         w = cdf.CdfWriter(io.BytesIO(), model)
-        locals_ = iod.scatter(rng.standard_normal(n))
+        data = rng.standard_normal(n)
+        locals_ = [data[c] for c in part.local_lists]
         locals_[1] = locals_[1][:-1]  # drop one element from rank 1
         with pytest.raises(ValueError, match="offset"):
             rearrange_write(locals_, iod, plan, w, "v")

@@ -7,6 +7,7 @@ import pytest
 from kiloland.perf import (
     CostModel,
     ScalingRecord,
+    ScalingTable,
     TimerTree,
     bandwidth,
     compute_sypd,
@@ -15,7 +16,6 @@ from kiloland.perf import (
     render_scaling_svg,
     run_scaling_suite,
     scaling_csv,
-    speedup_table,
     weak_efficiency,
 )
 
@@ -75,7 +75,7 @@ class TestStrongScaling:
             lnd_record(50_400, 134.960),
             lnd_record(100_800, 102.042),
         ]
-        table = speedup_table(records)
+        table = ScalingTable(records)
         assert table.speedup[0] == 1.0
         assert table.efficiency[0] == 1.0
         assert table.efficiency[3] * 100 == pytest.approx(87, abs=1)
@@ -83,18 +83,18 @@ class TestStrongScaling:
 
     def test_duplicate_cores_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            speedup_table([lnd_record(8, 1.0), lnd_record(8, 2.0)])
+            ScalingTable([lnd_record(8, 1.0), lnd_record(8, 2.0)])
 
     def test_mixed_components_rejected(self):
         a = lnd_record(8, 1.0)
         b = ScalingRecord("c", "ATM", 16, 0, 1.0, 5)
         with pytest.raises(ValueError, match="component"):
-            speedup_table([a, b])
+            ScalingTable([a, b])
 
     @pytest.mark.parametrize("seconds", [0.0, -1.0])
     def test_non_positive_run_seconds_rejected(self, seconds):
         with pytest.raises(ValueError, match="run_seconds must be positive"):
-            speedup_table([lnd_record(8, 1.0), lnd_record(16, seconds)])
+            ScalingTable([lnd_record(8, 1.0), lnd_record(16, seconds)])
 
 
 class TestWeakScaling:
@@ -237,7 +237,7 @@ class TestPredictor:
 
 class TestOutputs:
     def table(self):
-        return speedup_table(
+        return ScalingTable(
             [lnd_record(1, 8.0, case="desk"), lnd_record(2, 4.4, case="desk")]
         )
 

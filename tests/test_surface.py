@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kiloland.domain import compact
+from kiloland.domain import compact, expand
 from kiloland.surface import (
     CoarseGrid,
     N_MONTHS,
@@ -367,7 +367,7 @@ class TestBuildSurface:
     def test_expand_2d(self, aksp_mini):
         src = coarse_for(aksp_mini)
         ds = build_surface(aksp_mini, src, all_nearest(src))
-        f2 = ds.expand_2d("FMAX", aksp_mini)
+        f2 = expand(ds.values["FMAX"], aksp_mini)
         assert f2.shape == (32, 32)
         assert np.all(np.isnan(f2[aksp_mini.mask == 0]))
 
@@ -383,7 +383,7 @@ def test_no_scipy_in_any_module_or_surface_build():
         "for m in pkgutil.iter_modules(kiloland.__path__):\n"
         "    __import__('kiloland.' + m.name)\n"
         "from conftest import make_aksp_mini\n"
-        "from kiloland.domain import compact\n"
+        "from kiloland.domain import compact, expand\n"
         "from kiloland.surface import build_surface, synth_coarse_source\n"
         "d = make_aksp_mini()\n"
         "lat, lon = compact(d.yc, d), compact(d.xc, d)\n"
