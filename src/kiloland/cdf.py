@@ -637,17 +637,18 @@ class CdfFile:
         return self.model.var_shape(self.model.var(name), self.numrecs)
 
     def read(self, name: str) -> np.ndarray:
-        """The whole variable, in native byte order. A variable with a
-        `checksum` attribute is read into a big-endian array, and the CRC-32
-        of those stored bytes must match it before they are swapped in place;
-        read_slab verifies nothing."""
-        v = self.model.var(name)
         shape = self.shape(name)
-        start = (0,) * len(shape)
-        want = v.attrs.get("checksum")
-        if want is None:
-            return self.read_slab(name, start, shape)
-        stored = self.read_slab(name, start, shape, out=np.empty(shape, dtype=v.nc_type.dtype))
+        return self.read_slab(name, (0,) * len(shape), shape)
+
+    def read_verified(self, name: str) -> np.ndarray:
+        """read() of a variable that must carry a `checksum` attribute (a
+        KeyError if it does not). It is read into a big-endian array, and the
+        CRC-32 of those stored bytes must match the attribute before they are
+        swapped in place; read and read_slab verify nothing."""
+        v = self.model.var(name)
+        want = v.attrs["checksum"]
+        shape = self.shape(name)
+        stored = self.read_slab(name, (0,) * len(shape), shape, out=np.empty(shape, dtype=v.nc_type.dtype))
         got = f"{zlib.crc32(stored):08x}"
         if got != want:
             raise CdfError(f"{name}: checksum mismatch (attribute {want}, data {got})")

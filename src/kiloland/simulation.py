@@ -694,14 +694,8 @@ class _Run:
                     raise ValueError("restart bundle comes from a different parameter set")
                 if int(a["n_land"]) != self.n_land:
                     raise ValueError("restart bundle does not match the domain")
-                # read() verifies a checksum; every land variable must have one.
-                def verified(name):
-                    if "checksum" not in f.model.var(name).attrs:
-                        raise KeyError("checksum")
-                    return f.read(name)
-
-                state = {name: verified(name) for name in STATE_VARS}
-                sums = np.stack([verified(f"hsum_{v}") for v in HIST_VARS])
+                state = {name: f.read_verified(name) for name in STATE_VARS}
+                sums = np.stack([f.read_verified(f"hsum_{v}") for v in HIST_VARS])
                 count = int(a["hist_count"])
             with cdf.read_file(os.path.join(rdir, entries["datm_r"])) as f:
                 start_step = int(f.read("next_step"))

@@ -563,9 +563,10 @@ class TestChecksums:
         with pytest.raises(CdfError, match="out of order"):
             w.write_elements(name, start, np.ones(3), record=record)
 
-    def test_read_verifies_checksums(self, tmp_path):
-        """read() checks each checksum against the stored bytes: a flipped
-        data byte fails it, while compare_files still finds that element."""
+    def test_read_verified_checks_checksums(self, tmp_path):
+        """read_verified() checks each checksum against the stored bytes: a
+        flipped data byte fails it, while read() and compare_files still read
+        that element; a variable without the attribute is a KeyError."""
         from kiloland.compare import compare_files
 
         rng = np.random.default_rng(7)
@@ -580,17 +581,21 @@ class TestChecksums:
         with read_file(str(good)) as f:
             begin = f.model.var("s").begin
             for name, values in data.items():
-                got = f.read(name)
+                got = f.read_verified(name)
                 assert got.dtype.isnative
                 np.testing.assert_array_equal(got, values)
+            del f.model.var("i").attrs["checksum"]
+            with pytest.raises(KeyError, match="checksum"):
+                f.read_verified("i")
         blob = bytearray(good.read_bytes())
         blob[begin + 2 * 8 + 7] ^= 0x01  # the last byte of s[2]
         bad = tmp_path / "bad.nc"
         bad.write_bytes(bytes(blob))
         with read_file(str(bad)) as f:
             with pytest.raises(CdfError, match="s: checksum mismatch"):
-                f.read("s")
-            np.testing.assert_array_equal(f.read("r"), data["r"])
+                f.read_verified("s")
+            np.testing.assert_array_equal(f.read_verified("r"), data["r"])
+            assert f.read("s")[2] != data["s"][2]
         report = compare_files(str(good), str(bad))
         assert {n: d.n_bit_differing for n, d in report.per_var.items()} == {"r": 0, "s": 1, "i": 0}
         assert report.per_var["s"].first_diff_index == 2
