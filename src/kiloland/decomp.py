@@ -29,6 +29,7 @@ __all__ = [
     "BLOCK_ROUND_ROBIN",
     "SCHEMES",
     "WriteStats",
+    "index_dtype",
     "make_plan",
     "partition",
     "rearrange_write",
@@ -53,15 +54,20 @@ class Partition:
     local_lists: list = field(default_factory=list)  # per rank, ascending global ids
 
 
+def index_dtype(n_cells: int) -> np.dtype:
+    """The dtype of an index into `n_cells` cells: 4 bytes below 2^31 cells."""
+    return np.dtype(np.int32 if n_cells < 2**31 else np.int64)
+
+
 def partition(n_cells: int, n_ranks: int, scheme: str, block_size: int | None = None) -> Partition:
     """Assign cells to ranks under one of the three static schemes."""
     if n_cells < 1 or n_ranks < 1:
         raise ValueError("n_cells and n_ranks must be >= 1")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
-    i = np.arange(n_cells, dtype=np.int64)
+    i = np.arange(n_cells, dtype=index_dtype(n_cells))
     if scheme == ROUND_ROBIN:
-        assignment = (i % n_ranks).astype(np.int32)
+        assignment = (i % n_ranks).astype(np.int32, copy=False)
     elif scheme == BLOCK:
         big = n_cells % n_ranks
         base = n_cells // n_ranks
@@ -73,12 +79,12 @@ def partition(n_cells: int, n_ranks: int, scheme: str, block_size: int | None = 
             block_size = DEFAULT_BLOCK_SIZE
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        assignment = ((i // block_size) % n_ranks).astype(np.int32)
+        assignment = ((i // block_size) % n_ranks).astype(np.int32, copy=False)
     if n_ranks > n_cells:
         warnings.warn(
             f"{n_ranks} ranks for {n_cells} cells leaves empty ranks", stacklevel=2
         )
-    order = np.argsort(assignment, kind="stable")
+    order = np.argsort(assignment, kind="stable").astype(i.dtype)
     bounds = np.searchsorted(assignment[order], np.arange(n_ranks + 1))
     local_lists = [order[bounds[r] : bounds[r + 1]] for r in range(n_ranks)]
     return Partition(
@@ -103,7 +109,19 @@ class IoDecomp:
 
     def __post_init__(self):
         total = self.total_elements
-        cells = np.concatenate([np.asarray(c, dtype=np.int64) for c in self.part.local_lists])
+        lists = [np.asarray(c) for c in self.part.local_lists]
+        # Lists whose lengths sum to `total` and that reach every cell of
+        # [0, total) cover it exactly once, so a 1-byte mask suffices when
+        # they do; only a bad partition pays for the count below.
+        if sum(c.size for c in lists) == total and all(
+            c.size == 0 or (c.min() >= 0 and c.max() < total) for c in lists
+        ):
+            seen = np.zeros(total, dtype=bool)
+            for c in lists:
+                seen[c] = True
+            if seen.all():
+                return
+        cells = np.concatenate([c.astype(np.int64) for c in lists])
         inside = (cells >= 0) & (cells < total)
         counts = np.bincount(cells[inside], minlength=total)
         bad = np.concatenate([cells[~inside], np.flatnonzero(counts != 1)])

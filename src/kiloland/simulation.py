@@ -11,12 +11,13 @@ copies of the base output. Output files carry no wall-clock metadata, so
 equal runs produce byte-equal files.
 
 Each land rank owns its state, history sums and coupler bundle for the
-whole run, and only `_run_worker_segment` writes them, in place. A single
-rank steps in the coordinator, in private memory. With more ranks, each
-rank's arrays move into anonymous shared memory and one forked process per
-rank steps it for the whole run, so a segment sends a worker only its step
-range, and the coordinator writes history and restarts from the shared
-arrays.
+whole run, and only `_run_worker_segment` writes them, in place. Set-up
+builds them once, at the rank's own size, where the rank keeps them: a
+single rank steps in the coordinator, in private memory; with more ranks,
+each rank's arrays are one anonymous shared mapping and one forked process
+per rank steps it for the whole run, so a segment sends a worker only its
+step range, and the coordinator writes history and restarts from the
+shared arrays.
 Set-up scans the forcing files once (`forcing_files`), and hour 0 of a run
 is their first record; each segment opens one windowed stream per rank on
 that scan. An exception in a worker is raised again in the caller with its
@@ -46,8 +47,8 @@ import numpy as np
 
 from . import cdf, write_provenance
 from .decomp import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, IoDecomp, make_plan, partition,
-    rearrange_write,
+    DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, IoDecomp, index_dtype, make_plan,
+    partition, rearrange_write,
 )
 from .domain import read_domain, read_domain_header, replicate, write_domain
 from .forcing import STEP_HOURS, ForcingFiles, ForcingStream, VARIABLES, forcing_files
@@ -101,6 +102,13 @@ class ToyParams:
 FORCING_INPUTS = ("TBOT", "PRECT", "FSDS")
 
 
+class _NaNForcing(ValueError):
+    """NaN forcing at the cells `args[0]` lists (at most five are named)."""
+
+    def __str__(self):
+        return f"NaN forcing at cells {self.args[0][:5].tolist()}"
+
+
 def step_cells(state: dict, forcing: dict, p: ToyParams, dt: float):
     """Advance every cell one step; returns (new state, diagnostics).
 
@@ -124,7 +132,7 @@ def step_cells(state: dict, forcing: dict, p: ToyParams, dt: float):
     # ufunc's own reduce skips np.min's Python-level wrapper.
     if any(np.size(x) and np.isnan(np.minimum.reduce(x, axis=None)) for x in (tbot, prect, fsds)):
         bad = np.flatnonzero(np.isnan(np.asarray(tbot) + np.asarray(prect) + np.asarray(fsds)))
-        raise ValueError(f"NaN forcing at cells {bad[:5].tolist()}")
+        raise _NaNForcing(bad)
     swe, water, temp, c_leaf, c_soil = (state[k] for k in STATE_VARS)
     inputs = (tbot, prect, fsds, swe, water, temp, c_leaf, c_soil)
     shape = getattr(tbot, "shape", None)
@@ -338,20 +346,35 @@ class _RunState:
     count: int  # steps in the history accumulators
     window_start_hours: float
     total_days: int
-    state: dict  # global STATE_VARS arrays
-    sums: np.ndarray  # (len(HIST_VARS), n_land) history accumulators
-    bundle: dict  # last coupler fields; zeros on a fresh run
 
 
 @dataclass
 class _Rank:
     """One land rank's share of the run."""
 
+    cells: np.ndarray  # global ids: a view of the partition's cell list
     columns: np.ndarray | None  # forcing file columns; None reads them as stored
     state: dict
-    sums: np.ndarray
-    bundle: dict
+    sums: np.ndarray  # (len(HIST_VARS), n) history accumulators
+    bundle: dict  # last coupler fields; zeros on a fresh run
     timers: TimerTree
+
+
+def _new_rank(r: int, cells: np.ndarray, columns: np.ndarray, n_cols: int, shared: bool) -> _Rank:
+    """Rank r with zeroed state, sums and bundle at its own size: rows of
+    one private array, or of one anonymous shared mapping when `shared`."""
+    rows = len(STATE_VARS) + len(HIST_VARS) + len(VARIABLES)
+    block = (_shared if shared else np.zeros)(rows * len(cells)).reshape(rows, len(cells))
+    state, sums, bundle = np.split(block, [len(STATE_VARS), len(STATE_VARS) + len(HIST_VARS)])
+    return _Rank(
+        cells=cells,
+        # A rank that reads every file column in order needs no gather.
+        columns=None if np.array_equal(columns, np.arange(n_cols, dtype=columns.dtype)) else columns,
+        state=dict(zip(STATE_VARS, state)),
+        sums=sums,
+        bundle=dict(zip(VARIABLES, bundle)),
+        timers=TimerTree(f"rank{r}"),
+    )
 
 
 @dataclass
@@ -408,7 +431,11 @@ def _run_worker_segment(task: _WorkerTask) -> _Rank:
         with cpl.timed():
             bundle = couple(fields)
         with lnd.timed():
-            state, diag = step_cells(state, bundle, task.params, task.dt_hours)
+            try:
+                state, diag = step_cells(state, bundle, task.params, task.dt_hours)
+            except _NaNForcing as e:
+                # step_cells names positions in the rank; the run names gridcells.
+                raise _NaNForcing(rank.cells[e.args[0]]) from None
             sums += diag
     for own, last in ((rank.state, state), (rank.bundle, bundle)):
         for k, v in own.items():
@@ -416,16 +443,10 @@ def _run_worker_segment(task: _WorkerTask) -> _Rank:
     return rank
 
 
-def _shared(arrays: dict) -> dict:
-    """Copies of `arrays` in one anonymous shared mapping, which processes
+def _shared(size: int) -> np.ndarray:
+    """`size` float64 zeros in one anonymous shared mapping, which processes
     forked after this call read and write in place."""
-    buf = mmap.mmap(-1, max(sum(a.nbytes for a in arrays.values()), 1))
-    out, offset = {}, 0
-    for k, a in arrays.items():
-        out[k] = np.frombuffer(buf, a.dtype, a.size, offset).reshape(a.shape)
-        out[k][...] = a
-        offset += a.nbytes
-    return out
+    return np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), np.float64, size)
 
 
 def _serve_rank(conn, rank: _Rank, dt_hours: float, params: ToyParams, forcing: ForcingFiles):
@@ -454,12 +475,12 @@ class _RankWorkers:
     coordinator reads, resets and writes them between segments wherever
     they live. A single rank steps in the coordinator and keeps its arrays
     in private memory (shared memory measured slower on one worker). With
-    more ranks, each rank's state, history sums and coupler bundle move
-    into shared memory and one process per rank is forked, alive for the
-    whole run: the coordinator sends it only a segment's (lo, hi), and no
-    rank is pickled. A worker's exception is raised again here with its
-    type and message; a worker that dies raises `ChildProcessError` naming
-    the rank and its exit code."""
+    more ranks, set-up has already built each rank's state, history sums
+    and coupler bundle in one shared mapping (`_new_rank`), so this only
+    forks one process per rank, alive for the whole run: the coordinator
+    sends it only a segment's (lo, hi), and no rank is pickled. A worker's
+    exception is raised again here with its type and message; a worker that
+    dies raises `ChildProcessError` naming the rank and its exit code."""
 
     def __init__(self, ranks: list, dt_hours: float, params: ToyParams, forcing: ForcingFiles):
         self.ranks, self.procs, self.conns = ranks, [], []
@@ -469,9 +490,6 @@ class _RankWorkers:
         ctx = multiprocessing.get_context("fork")
         try:
             for rank in ranks:
-                rank.state = _shared(rank.state)
-                rank.sums = _shared({"sums": rank.sums})["sums"]
-                rank.bundle = _shared(rank.bundle)
                 conn, child = ctx.Pipe()
                 proc = ctx.Process(target=_serve_rank, args=(child, rank, *self.segment_args))
                 proc.start()
@@ -579,10 +597,10 @@ def _date_tag(start: str, hours: float) -> str:
 def _source_columns(n_land: int, n_copies: int, file_n: int, what: str) -> np.ndarray:
     """Global cell -> column in the base data file."""
     if file_n == n_land:
-        return np.arange(n_land)
+        return np.arange(n_land, dtype=index_dtype(n_land))
     n_base = n_land // max(n_copies, 1)
     if n_copies > 1 and file_n == n_base and n_base * n_copies == n_land:
-        return np.arange(n_land) % n_base
+        return np.arange(n_land, dtype=index_dtype(n_land)) % n_base
     raise ValueError(
         f"{what} covers {file_n} cells but the domain has {n_land} "
         f"({n_copies} copies): domain mismatch"
@@ -623,7 +641,6 @@ class _Run:
                     f"case start {cfg.start} is not {self.forcing.first_day}, the first day"
                     f" of the first forcing file"
                 )
-            columns = _source_columns(self.n_land, self.n_copies, self.forcing.n_cols, "forcing")
             self.part = partition(
                 self.n_land, cfg.lnd_workers, cfg.partition_scheme, cfg.block_size
             )
@@ -632,6 +649,15 @@ class _Run:
             self.iod = IoDecomp(self.part)
             self.plan = make_plan(self.iod.total_elements, cfg.n_aggregators, cfg.buffer_limit)
             self.plan.validate(self.iod.total_elements)
+            # Each rank's arrays are built once, at its own size, where the
+            # rank keeps them for the whole run.
+            columns = _source_columns(self.n_land, self.n_copies, self.forcing.n_cols, "forcing")
+            shared = len(self.part.local_lists) > 1
+            self.ranks = [
+                _new_rank(r, cells, columns[cells], self.forcing.n_cols, shared)
+                for r, cells in enumerate(self.part.local_lists)
+            ]
+            del columns
             # A resumed run reads no surface data, but still checks its cells.
             with cdf.read_file(cfg.surface) as f:
                 scols = _source_columns(
@@ -645,19 +671,6 @@ class _Run:
             self.count = run.count
             self.window_start_hours = run.window_start_hours
             self.total_steps = run.total_days * cfg.steps_per_day
-            whole = np.arange(self.forcing.n_cols)
-            self.ranks = [
-                _Rank(
-                    # A rank that reads every file column in order needs no gather.
-                    columns=None if np.array_equal(columns[cells], whole) else columns[cells],
-                    state={k: run.state[k][cells] for k in STATE_VARS},
-                    # take() keeps each rank's rows C-ordered; [:, cells] would not.
-                    sums=run.sums.take(cells, axis=1),
-                    bundle={k: v[cells] for k, v in run.bundle.items()},
-                    timers=TimerTree(f"rank{r}"),
-                )
-                for r, cells in enumerate(self.part.local_lists)
-            ]
             # Forcing must cover the whole run.
             t_end = self.forcing.time[-1] + STEP_HOURS
             end_hours = self.total_steps * cfg.dt_hours
@@ -666,22 +679,29 @@ class _Run:
                     f"forcing coverage gap: run needs {end_hours}h, files end at {t_end}h"
                 )
 
+    def _deal(self, v: np.ndarray, outs: list, index: np.ndarray | None = None):
+        """Copy each rank's share of the global array `v`, v[cells] or
+        v[index[cells]], into that rank's array in `outs`."""
+        for rank, out in zip(self.ranks, outs, strict=True):
+            out[...] = v[rank.cells if index is None else index[rank.cells]]
+
+    def _land_restart(self) -> list:
+        """elm.r's variables, each with its per-rank arrays: the state, then
+        the history sums."""
+        return [(k, [r.state[k] for r in self.ranks]) for k in STATE_VARS] + [
+            (f"hsum_{v}", [r.sums[i] for r in self.ranks]) for i, v in enumerate(HIST_VARS)
+        ]
+
     def _fresh_state(self, surface: cdf.CdfFile, scols: np.ndarray) -> _RunState:
         cfg = self.cfg
         month = datetime.date.fromisoformat(cfg.start).month
         surf_cols, month_lai = _read_init_surface(surface, month)
         # A cell's initial state depends only on its own surface column, so
-        # the file's cells are initialised once and copied out to the domain.
-        state = init_state(surf_cols, cfg.params, month_lai)
-        return _RunState(
-            start_step=0,
-            count=0,
-            window_start_hours=0.0,
-            total_days=cfg.n_days,
-            state={k: v.take(scols) for k, v in state.items()},
-            sums=np.zeros((len(HIST_VARS), self.n_land)),
-            bundle={k: np.zeros(self.n_land) for k in VARIABLES},
-        )
+        # the file's columns are initialised once and each rank takes its
+        # cells' columns; its sums and bundle start at zero.
+        for k, v in init_state(surf_cols, cfg.params, month_lai).items():
+            self._deal(v, [r.state[k] for r in self.ranks], scols)
+        return _RunState(start_step=0, count=0, window_start_hours=0.0, total_days=cfg.n_days)
 
     def _load_restart(self, entries, extra_days) -> _RunState:
         """The bundle's run state; a missing field or a bad checksum is a CdfError."""
@@ -694,15 +714,17 @@ class _Run:
                     raise ValueError("restart bundle comes from a different parameter set")
                 if int(a["n_land"]) != self.n_land:
                     raise ValueError("restart bundle does not match the domain")
-                state = {name: f.read_verified(name) for name in STATE_VARS}
-                sums = np.stack([f.read_verified(f"hsum_{v}") for v in HIST_VARS])
+                # One variable at a time, straight into the ranks' arrays.
+                for name, outs in self._land_restart():
+                    self._deal(f.read_verified(name), outs)
                 count = int(a["hist_count"])
             with cdf.read_file(os.path.join(rdir, entries["datm_r"])) as f:
                 start_step = int(f.read("next_step"))
             with cdf.read_file(os.path.join(rdir, entries["rh0"])) as f:
                 window_start_hours = float(f.read("window_start_hours"))
             with cdf.read_file(os.path.join(rdir, entries["cpl_r"])) as f:
-                bundle = {name: f.read(f"x2l_{name}") for name in VARIABLES}
+                for k in VARIABLES:
+                    self._deal(f.read(f"x2l_{k}"), [r.bundle[k] for r in self.ranks])
         except KeyError as e:
             raise cdf.CdfError(f"restart bundle in {rdir} lacks {e}") from None
         done_days = start_step // cfg.steps_per_day
@@ -711,9 +733,6 @@ class _Run:
             count=count,
             window_start_hours=window_start_hours,
             total_days=done_days + (extra_days if extra_days is not None else cfg.n_days),
-            state=state,
-            sums=sums,
-            bundle=bundle,
         )
 
     # -- main loop -----------------------------------------------------------
@@ -846,9 +865,7 @@ class _Run:
         gridcell = [cdf.Dim("gridcell", self.n_land)]
         # Land restart: full-precision state plus history accumulators, each
         # with a checksum of its global array.
-        land = [(k, [r.state[k] for r in self.ranks]) for k in STATE_VARS] + [
-            (f"hsum_{v}", [r.sums[i] for r in self.ranks]) for i, v in enumerate(HIST_VARS)
-        ]
+        land = self._land_restart()
         names = {
             "elm_r": self._write("elm.r", step, gridcell, [
                 (k, f8, ("gridcell",), {}, ranks) for k, ranks in land

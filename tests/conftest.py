@@ -73,6 +73,40 @@ def drop_gattrs(path, *names):
         cdf.write_file(fh, model, data, numrecs=numrecs)
 
 
+def setup_memory(cfg, out_dir, monkeypatch, resume_dir=None) -> tuple:
+    """(retained, peak) bytes of one run's set-up (`_Run.setup`, fresh, or
+    resumed from the restart bundle in `resume_dir`), up to the fork of its
+    rank workers. These are tracemalloc's figures plus the bytes of every
+    anonymous mapping `simulation._shared` makes, which tracemalloc does
+    not see; a mapping counts in the peak whenever it was made."""
+    import tracemalloc
+
+    from kiloland import simulation
+
+    mapped = []
+    shared = simulation._shared
+
+    def counting(size):
+        out = shared(size)
+        mapped.append(len(out.base))
+        return out
+
+    monkeypatch.setattr(simulation, "_shared", counting)
+    entries = None
+    if resume_dir is not None:
+        entries = simulation._read_rpointer(os.path.join(resume_dir, f"rpointer.{cfg.name}"))
+        entries["dir"] = resume_dir
+    tracemalloc.start()
+    try:
+        run = simulation._Run(cfg, out_dir)
+        run.setup(resume_entries=entries)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(run.ranks) == cfg.lnd_workers
+    return retained + sum(mapped), peak + sum(mapped)
+
+
 def make_case_config(root, **overrides):
     from kiloland.simulation import CaseConfig
 

@@ -14,6 +14,7 @@ from kiloland.decomp import (
     SCHEMES,
     IoDecomp,
     Partition,
+    index_dtype,
     make_plan,
     partition,
     rearrange_write,
@@ -39,6 +40,19 @@ class TestPartition:
         with pytest.warns(UserWarning, match="empty ranks"):
             p = partition(3, 5, ROUND_ROBIN)
         assert [len(l) for l in p.local_lists] == [1, 1, 1, 0, 0]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_cell_lists_are_int32_views_of_one_order(self, scheme):
+        p = partition(1000, 3, scheme, block_size=7)
+        base = p.local_lists[0].base
+        assert base is not None and base.dtype == np.int32 and base.size == 1000
+        assert all(c.dtype == np.int32 and c.base is base for c in p.local_lists)
+
+    def test_index_dtype_widens_at_two_to_the_31_cells(self):
+        assert index_dtype(1) == np.int32
+        assert index_dtype(2**31 - 1) == np.int32
+        assert index_dtype(2**31) == np.int64
+        assert index_dtype(21_600_000) == np.int32  # the paper's domain
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
@@ -121,6 +135,20 @@ class TestIoDecomp:
             tracemalloc.stop()
         assert iod.total_elements == n
         assert retained < n
+
+    def test_coverage_check_peaks_under_two_bytes_per_cell(self):
+        """The success path checks coverage with a 1-byte mask, not a count."""
+        import tracemalloc
+
+        n = 1_000_000
+        part = partition(n, 2, ROUND_ROBIN)
+        tracemalloc.start()
+        try:
+            IoDecomp(part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n
 
     @pytest.mark.parametrize(
         "local_lists, bad",

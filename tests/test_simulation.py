@@ -33,7 +33,7 @@ from kiloland.simulation import (
 )
 from kiloland.surface import N_PFTS, SOIL_LAYERS, SurfaceDataset, read_surface, write_surface
 
-from conftest import drop_gattrs, make_case_config, output_bytes, write_case_inputs
+from conftest import drop_gattrs, make_case_config, output_bytes, setup_memory, write_case_inputs
 
 P = ToyParams()
 
@@ -917,6 +917,64 @@ class TestRankWorkers:
             run_case(cfg, str(tmp_path / copy / "out"))
             texts.append((tmp_path / copy / "out" / "mini.provenance.txt").read_bytes())
         assert texts[0] == texts[1]
+
+
+@pytest.fixture(scope="class")
+def x200(mini_inputs, tmp_path_factory):
+    """The mini case replicated 200x (122,600 cells), with the restart
+    bundle of a 1-day run of it."""
+    root = tmp_path_factory.mktemp("x200")
+    cfg = replicate_case(make_case_config(mini_inputs, n_days=1, history_interval="none"),
+                         200, str(root / "inputs"))
+    run_case(cfg, str(root / "day1"))
+    return cfg, str(root / "day1")
+
+
+class TestSetup:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+    def test_builds_each_rank_once_where_it_lives(self, x200, tmp_path, monkeypatch,
+                                                  workers, resumed):
+        """Set-up holds the rank arrays (144 B per cell), the partition and
+        the forcing columns, and never a whole-run copy of the arrays."""
+        cfg, restart_dir = x200
+        cfg = replace(cfg, lnd_workers=workers)
+        retained, peak = setup_memory(cfg, str(tmp_path / "run"), monkeypatch,
+                                      resume_dir=restart_dir if resumed else None)
+        n = 200 * 613
+        assert retained < 160 * n, retained / n
+        assert peak < 200 * n, peak / n
+
+    @pytest.mark.parametrize("copies, workers", [(1, 2), (3, 1), (3, 2)])
+    def test_cell_indices_are_four_bytes(self, mini_inputs, tmp_path, copies, workers):
+        from kiloland import simulation
+
+        cfg = make_case_config(mini_inputs, n_days=1, lnd_workers=workers)
+        cfg = replicate_case(cfg, copies, str(tmp_path / "inputs"))
+        run = simulation._Run(cfg, str(tmp_path / "run"))
+        run.setup()
+        assert len(run.ranks) == workers
+        for rank in run.ranks:
+            assert rank.cells.dtype == np.int32
+            assert rank.columns.dtype == np.int32
+        n = 613 * copies
+        assert simulation._source_columns(n, copies, 613, "forcing").dtype == np.int32
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nan_forcing_names_the_gridcell(self, mini_inputs, tmp_path, capsys, workers):
+        from kiloland.cli import main
+
+        root = shutil.copytree(mini_inputs, tmp_path / "inputs")
+        path = os.path.join(root, "forcing", forcing_filename(2014, 1))
+        fm = read_forcing_month(path)
+        fm.values["TBOT"][5, 301] = np.nan
+        write_forcing_month(fm, path)
+        case = str(tmp_path / "case.cfg")
+        make_case_config(root, n_days=1).to_file(case)
+        code = main(["run", "--case", case, "--out", str(tmp_path / "out"),
+                     "--workers", str(workers)])
+        assert code == 1
+        assert "NaN forcing at cells [301]" in capsys.readouterr().err
 
 
 class TestReplication:
