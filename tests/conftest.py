@@ -75,8 +75,8 @@ def drop_gattrs(path, *names):
 
 def setup_memory(cfg, out_dir, monkeypatch, resume_dir=None) -> tuple:
     """(retained, peak) bytes of one run's set-up (`_Run.setup`, fresh, or
-    resumed from the restart bundle in `resume_dir`), up to the fork of its
-    rank workers. These are tracemalloc's figures plus the bytes of every
+    resumed from the restart bundle in `resume_dir`), up to and including
+    the fork of its rank workers, which are then stopped unused. These are tracemalloc's figures plus the bytes of every
     anonymous mapping `simulation._shared` makes, which tracemalloc does
     not see; a mapping counts in the peak whenever it was made."""
     import tracemalloc
@@ -97,12 +97,16 @@ def setup_memory(cfg, out_dir, monkeypatch, resume_dir=None) -> tuple:
         entries = simulation._read_rpointer(os.path.join(resume_dir, f"rpointer.{cfg.name}"))
         entries["dir"] = resume_dir
     tracemalloc.start()
+    workers = None
     try:
         run = simulation._Run(cfg, out_dir)
         run.setup(resume_entries=entries)
+        workers = simulation._RankWorkers(run.ranks, cfg.dt_hours, cfg.params, run.forcing)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        if workers is not None:
+            workers.close()
     assert len(run.ranks) == cfg.lnd_workers
     return retained + sum(mapped), peak + sum(mapped)
 
