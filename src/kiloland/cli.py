@@ -134,13 +134,21 @@ def cmd_replicate(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    from .simulation import CaseConfig, run_case
+def _case(args) -> tuple:
+    """`run`'s and `resume`'s case config and output directory. A given
+    --workers, 0 included, replaces the config's worker count."""
+    from .simulation import CaseConfig
 
     cfg = CaseConfig.from_file(args.case)
-    if args.workers:
+    if args.workers is not None:
         cfg.lnd_workers = args.workers
-    out = args.out or os.environ.get("KILOLAND_OUT") or f"{cfg.name}.out"
+    return cfg, args.out or os.environ.get("KILOLAND_OUT") or f"{cfg.name}.out"
+
+
+def cmd_run(args) -> int:
+    from .simulation import run_case
+
+    cfg, out = _case(args)
     result = run_case(cfg, out)
     for p in result.history_paths:
         print(f"history: {p}")
@@ -152,12 +160,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    from .simulation import CaseConfig, resume_case
+    from .simulation import resume_case
 
-    cfg = CaseConfig.from_file(args.case)
-    if args.workers:
-        cfg.lnd_workers = args.workers
-    out = args.out or os.environ.get("KILOLAND_OUT") or f"{cfg.name}.out"
+    cfg, out = _case(args)
     result = resume_case(cfg, out, extra_days=args.extra_days,
                          restart_dir=args.restart_dir)
     for p in result.history_paths:
@@ -398,7 +403,7 @@ def _apply_global_defaults(args) -> str | None:
             return f"{args.command}: a case config is required (--case or --config)"
     if hasattr(args, "workers") and args.command in ("run", "resume"):
         if args.workers is None:
-            args.workers = args.g_workers or 0
+            args.workers = args.g_workers
     return None
 
 

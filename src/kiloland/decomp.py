@@ -1,12 +1,14 @@
 """Static domain decomposition and the parallel-write pipeline.
 
-Three gridcell partitioning schemes (round-robin, block, block
-round-robin) assign cells to ranks; the I/O decomposition of a gridcell
-variable is those cell lists, each cell's file offset being its global id;
-a write gathers the ranks' data once and each aggregator writes its
-contiguous offset range of it through one cdf writer, flushing at a
-configurable buffer limit. The emitted bytes are bit-identical to a serial
-write for every scheme, aggregator count, and buffer size.
+`partition` decomposes the gridcells over the ranks under one of three
+schemes (round-robin, block, block round-robin) and returns one `IoDecomp`:
+each rank's ascending list of global cell ids, which are also the file
+offsets of every gridcell variable, so it serves both the run and its
+writes. The lists are built in closed form, without a sort. A write
+gathers the ranks' data once and each aggregator writes its contiguous
+offset range of it through one cdf writer, flushing at a configurable
+buffer limit. The emitted bytes are bit-identical to a serial write for
+every scheme, aggregator count, and buffer size.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,6 @@ __all__ = [
     "DEFAULT_BUFFER_LIMIT",
     "IOSTATS_HEADER",
     "IoDecomp",
-    "Partition",
     "ROUND_ROBIN",
     "BLOCK",
     "BLOCK_ROUND_ROBIN",
@@ -44,72 +45,26 @@ DEFAULT_BLOCK_SIZE = 64
 DEFAULT_BUFFER_LIMIT = 64 * 2**20  # 64 MiB per flush
 
 
-@dataclass
-class Partition:
-    scheme: str
-    n_cells: int
-    n_ranks: int
-    block_size: int | None
-    assignment: np.ndarray  # cell -> rank
-    local_lists: list = field(default_factory=list)  # per rank, ascending global ids
-
-
 def index_dtype(n_cells: int) -> np.dtype:
     """The dtype of an index into `n_cells` cells: 4 bytes below 2^31 cells."""
     return np.dtype(np.int32 if n_cells < 2**31 else np.int64)
 
 
-def partition(n_cells: int, n_ranks: int, scheme: str, block_size: int | None = None) -> Partition:
-    """Assign cells to ranks under one of the three static schemes."""
-    if n_cells < 1 or n_ranks < 1:
-        raise ValueError("n_cells and n_ranks must be >= 1")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
-    i = np.arange(n_cells, dtype=index_dtype(n_cells))
-    if scheme == ROUND_ROBIN:
-        assignment = (i % n_ranks).astype(np.int32, copy=False)
-    elif scheme == BLOCK:
-        big = n_cells % n_ranks
-        base = n_cells // n_ranks
-        counts = np.full(n_ranks, base, dtype=np.int64)
-        counts[:big] += 1
-        assignment = np.repeat(np.arange(n_ranks, dtype=np.int32), counts)
-    else:
-        if block_size is None:
-            block_size = DEFAULT_BLOCK_SIZE
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        assignment = ((i // block_size) % n_ranks).astype(np.int32, copy=False)
-    if n_ranks > n_cells:
-        warnings.warn(
-            f"{n_ranks} ranks for {n_cells} cells leaves empty ranks", stacklevel=2
-        )
-    order = np.argsort(assignment, kind="stable").astype(i.dtype)
-    bounds = np.searchsorted(assignment[order], np.arange(n_ranks + 1))
-    local_lists = [order[bounds[r] : bounds[r + 1]] for r in range(n_ranks)]
-    return Partition(
-        scheme=scheme,
-        n_cells=n_cells,
-        n_ranks=n_ranks,
-        block_size=block_size if scheme == BLOCK_ROUND_ROBIN else None,
-        assignment=assignment,
-        local_lists=local_lists,
-    )
-
-
 @dataclass
 class IoDecomp:
-    """The I/O decomposition of a gridcell variable: rank r's local element
-    i goes to file offset `part.local_lists[r][i]`. Every run output is one
-    value per gridcell, so the partition's cell lists are the whole map.
-    Construction checks once that they cover [0, n_cells) exactly once.
+    """The decomposition of the gridcells over the ranks: rank r holds the
+    cells `local_lists[r]`, ascending, and its local element i goes to file
+    offset `local_lists[r][i]`. Every run output is one value per gridcell,
+    so these lists are the whole I/O map. Construction checks once that
+    they cover [0, n_cells) exactly once.
     """
 
-    part: Partition
+    n_cells: int
+    local_lists: list
 
     def __post_init__(self):
-        total = self.total_elements
-        lists = [np.asarray(c) for c in self.part.local_lists]
+        total = self.n_cells
+        lists = [np.asarray(c) for c in self.local_lists]
         # Lists whose lengths sum to `total` and that reach every cell of
         # [0, total) cover it exactly once, so a 1-byte mask suffices when
         # they do; only a bad partition pays for the count below.
@@ -131,13 +86,9 @@ class IoDecomp:
                 f"(first bad offset {int(bad.min())})"
             )
 
-    @property
-    def total_elements(self) -> int:
-        return self.part.n_cells
-
     def gather(self, local_datas: list) -> np.ndarray:
         """Assemble the global flat array from per-rank local arrays."""
-        lists = self.part.local_lists
+        lists = self.local_lists
         if len(local_datas) != len(lists):
             raise ValueError(f"{len(local_datas)} rank arrays for {len(lists)} ranks")
         out = None
@@ -150,9 +101,59 @@ class IoDecomp:
                     f"(first mismatch at offset {first})"
                 )
             if out is None:
-                out = np.empty(self.total_elements, dtype=local.dtype)
+                out = np.empty(self.n_cells, dtype=local.dtype)
             out[cells] = local
         return out
+
+
+def partition(n_cells: int, n_ranks: int, scheme: str, block_size: int | None = None) -> IoDecomp:
+    """Decompose the cells over the ranks under one of the three static
+    schemes. The ranks' lists are views of one index order, built in
+    closed form: block gives each rank one contiguous run, and round-robin
+    is block round-robin with one-cell blocks."""
+    if n_cells < 1 or n_ranks < 1:
+        raise ValueError("n_cells and n_ranks must be >= 1")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r} (choose from {SCHEMES})")
+    size = 1
+    if scheme == BLOCK_ROUND_ROBIN:
+        size = DEFAULT_BLOCK_SIZE if block_size is None else block_size
+        if size < 1:
+            raise ValueError("block_size must be >= 1")
+    if n_ranks > n_cells:
+        warnings.warn(
+            f"{n_ranks} ranks for {n_cells} cells leaves empty ranks", stacklevel=2
+        )
+    dtype = index_dtype(n_cells)
+    if scheme == BLOCK:
+        # Runs whose sizes differ by at most one, the longer ones first.
+        order = np.arange(n_cells, dtype=dtype)
+        base, big = divmod(n_cells, n_ranks)
+        bounds = [r * base + min(r, big) for r in range(n_ranks + 1)]
+        lists = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    else:
+        lists = _dealt_blocks(n_cells, n_ranks, size, dtype)
+    return IoDecomp(n_cells, lists)
+
+
+def _dealt_blocks(n_cells: int, n_ranks: int, size: int, dtype: np.dtype) -> list:
+    """Rank r's cells are blocks r, r + n_ranks, ... of `size` cells (the
+    last block may be short), written rank after rank into one order."""
+    order = np.empty(n_cells, dtype=dtype)
+    within = np.arange(size, dtype=dtype)
+    n_full, tail = divmod(n_cells, size)
+    lists, lo = [], 0
+    for r in range(n_ranks):
+        starts = np.arange(r, n_full, n_ranks, dtype=dtype)
+        starts *= size
+        hi = lo + starts.size * size
+        np.add(starts[:, None], within, out=order[lo:hi].reshape(-1, size))
+        if tail and n_full % n_ranks == r:
+            order[hi : hi + tail] = np.arange(n_cells - tail, n_cells, dtype=dtype)
+            hi += tail
+        lists.append(order[lo:hi])
+        lo = hi
+    return lists
 
 
 @dataclass
@@ -236,13 +237,13 @@ def rearrange_write(
     order, so the file is bit-identical to a serial write. A record of
     `var_name` must hold one value per gridcell.
     """
-    plan.validate(iod.total_elements)
+    plan.validate(iod.n_cells)
     var = writer.model.var(var_name)
     per_record = math.prod(writer.model.var_shape(var, 1))
-    if per_record != iod.total_elements:
+    if per_record != iod.n_cells:
         raise ValueError(
             f"{var_name}: {per_record} elements per record, "
-            f"not one per gridcell ({iod.total_elements})"
+            f"not one per gridcell ({iod.n_cells})"
         )
     itemsize = var.nc_type.size
     t0 = time.perf_counter()

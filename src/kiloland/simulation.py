@@ -47,8 +47,7 @@ import numpy as np
 
 from . import cdf, write_provenance
 from .decomp import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, IoDecomp, index_dtype, make_plan,
-    partition, rearrange_write,
+    DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, make_plan, partition, rearrange_write,
 )
 from .domain import read_domain, read_domain_header, replicate, write_domain
 from .forcing import STEP_HOURS, ForcingFiles, ForcingStream, VARIABLES, forcing_files
@@ -306,7 +305,14 @@ class CaseConfig:
                 if key not in cls._KEYMAP:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 name = cls._KEYMAP[key]
-                kwargs[name] = int(value) if name in cls._INT_FIELDS else value
+                if name in cls._INT_FIELDS:
+                    try:
+                        value = int(value)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{lineno}: {key} must be an integer, not {value!r}"
+                        ) from None
+                kwargs[name] = value
         cfg = cls(**kwargs)
         base = os.path.dirname(os.path.abspath(path))
         for attr in ("domain", "forcing_dir", "surface"):
@@ -352,7 +358,7 @@ class _RunState:
 class _Rank:
     """One land rank's share of the run."""
 
-    cells: np.ndarray  # global ids: a view of the partition's cell list
+    cells: np.ndarray  # global ids: a view of the decomposition's cell list
     columns: np.ndarray | None  # forcing file columns; None reads them as stored
     state: dict
     sums: np.ndarray  # (len(HIST_VARS), n) history accumulators
@@ -360,16 +366,19 @@ class _Rank:
     timers: TimerTree
 
 
-def _new_rank(r: int, cells: np.ndarray, columns: np.ndarray, n_cols: int, shared: bool) -> _Rank:
+def _new_rank(r: int, cells: np.ndarray, n_cols: int, shared: bool) -> _Rank:
     """Rank r with zeroed state, sums and bundle at its own size: rows of
-    one private array, or of one anonymous shared mapping when `shared`."""
+    one private array, or of one anonymous shared mapping when `shared`.
+    Its cell c reads column c % n_cols of the forcing files."""
     rows = len(STATE_VARS) + len(HIST_VARS) + len(VARIABLES)
     block = (_shared if shared else np.zeros)(rows * len(cells)).reshape(rows, len(cells))
     state, sums, bundle = np.split(block, [len(STATE_VARS), len(STATE_VARS) + len(HIST_VARS)])
+    columns = cells % n_cols
     return _Rank(
         cells=cells,
-        # A rank that reads every file column in order needs no gather.
-        columns=None if np.array_equal(columns, np.arange(n_cols, dtype=columns.dtype)) else columns,
+        # n_cols strictly increasing columns of [0, n_cols) are every file
+        # column in order, which the rank reads as stored.
+        columns=None if columns.size == n_cols and (columns[1:] > columns[:-1]).all() else columns,
         state=dict(zip(STATE_VARS, state)),
         sums=sums,
         bundle=dict(zip(VARIABLES, bundle)),
@@ -594,17 +603,14 @@ def _date_tag(start: str, hours: float) -> str:
     return f"{d0 + datetime.timedelta(days=days):%Y-%m-%d}-{rem * 3600:05d}"
 
 
-def _source_columns(n_land: int, n_copies: int, file_n: int, what: str) -> np.ndarray:
-    """Global cell -> column in the base data file."""
-    if file_n == n_land:
-        return np.arange(n_land, dtype=index_dtype(n_land))
-    n_base = n_land // max(n_copies, 1)
-    if n_copies > 1 and file_n == n_base and n_base * n_copies == n_land:
-        return np.arange(n_land, dtype=index_dtype(n_land)) % n_base
-    raise ValueError(
-        f"{what} covers {file_n} cells but the domain has {n_land} "
-        f"({n_copies} copies): domain mismatch"
-    )
+def _check_columns(n_land: int, n_copies: int, n_cols: int, what: str) -> None:
+    """A data file holds one column per cell, or one per cell of the
+    replica's base; either way, cell c reads its column c % n_cols."""
+    if n_land not in (n_cols, n_cols * n_copies):
+        raise ValueError(
+            f"{what} covers {n_cols} cells but the domain has {n_land} "
+            f"({n_copies} copies): domain mismatch"
+        )
 
 
 def _read_init_surface(f: cdf.CdfFile, month: int) -> tuple:
@@ -641,21 +647,19 @@ class _Run:
                     f"case start {cfg.start} is not {self.forcing.first_day}, the first day"
                     f" of the first forcing file"
                 )
-            self.part = partition(
+            self.decomp = partition(
                 self.n_land, cfg.lnd_workers, cfg.partition_scheme, cfg.block_size
             )
-            # Every output variable is one value per gridcell, so one
+            # Every output variable is one value per gridcell, so the
             # decomposition and one aggregator plan serve every write.
-            self.iod = IoDecomp(self.part)
-            self.plan = make_plan(self.iod.total_elements, cfg.n_aggregators, cfg.buffer_limit)
-            self.plan.validate(self.iod.total_elements)
+            self.plan = make_plan(self.n_land, cfg.n_aggregators, cfg.buffer_limit)
+            self.plan.validate(self.n_land)
             # A resumed run reads no surface data, but still checks its cells.
             with cdf.read_file(cfg.surface) as f:
-                scols = _source_columns(
-                    self.n_land, self.n_copies, f.model.dim("gridcell").length, "surface"
-                )
+                n_cols = f.model.dim("gridcell").length
+                _check_columns(self.n_land, self.n_copies, n_cols, "surface")
                 if resume_entries is None:
-                    run = self._fresh_state(f, scols)
+                    run = self._fresh_state(f, n_cols)
                 else:
                     run = self._load_restart(resume_entries, extra_days)
             self.start_step = run.start_step
@@ -673,18 +677,16 @@ class _Run:
     def _build_ranks(self):
         """Build each rank's arrays once, at its own size, where the rank
         keeps them for the whole run."""
-        columns = _source_columns(self.n_land, self.n_copies, self.forcing.n_cols, "forcing")
-        shared = len(self.part.local_lists) > 1
-        self.ranks = [
-            _new_rank(r, cells, columns[cells], self.forcing.n_cols, shared)
-            for r, cells in enumerate(self.part.local_lists)
-        ]
+        n_cols = self.forcing.n_cols
+        _check_columns(self.n_land, self.n_copies, n_cols, "forcing")
+        lists = self.decomp.local_lists
+        self.ranks = [_new_rank(r, cells, n_cols, len(lists) > 1) for r, cells in enumerate(lists)]
 
-    def _deal(self, v: np.ndarray, outs: list, index: np.ndarray | None = None):
-        """Copy each rank's share of the global array `v`, v[cells] or
-        v[index[cells]], into that rank's array in `outs`."""
+    def _deal(self, v: np.ndarray, outs: list, n_cols: int):
+        """Copy each rank's share of `v`, an array of `n_cols` data columns,
+        into that rank's array in `outs`: cell c takes v[c % n_cols]."""
         for rank, out in zip(self.ranks, outs, strict=True):
-            out[...] = v[rank.cells if index is None else index[rank.cells]]
+            out[...] = v[rank.cells if n_cols == self.n_land else rank.cells % n_cols]
 
     def _land_restart(self) -> list:
         """elm.r's variables, each with its per-rank arrays: the state, then
@@ -693,7 +695,7 @@ class _Run:
             (f"hsum_{v}", [r.sums[i] for r in self.ranks]) for i, v in enumerate(HIST_VARS)
         ]
 
-    def _fresh_state(self, surface: cdf.CdfFile, scols: np.ndarray) -> _RunState:
+    def _fresh_state(self, surface: cdf.CdfFile, n_cols: int) -> _RunState:
         cfg = self.cfg
         month = datetime.date.fromisoformat(cfg.start).month
         surf_cols, month_lai = _read_init_surface(surface, month)
@@ -709,7 +711,7 @@ class _Run:
         # the file's columns are initialised once and each rank takes its
         # cells' columns; its sums and bundle start at zero.
         for k, v in init.items():
-            self._deal(v, [r.state[k] for r in self.ranks], scols)
+            self._deal(v, [r.state[k] for r in self.ranks], n_cols)
         return _RunState(start_step=0, count=0, window_start_hours=0.0, total_days=cfg.n_days)
 
     def _load_restart(self, entries, extra_days) -> _RunState:
@@ -726,7 +728,7 @@ class _Run:
                     raise ValueError("restart bundle does not match the domain")
                 # One variable at a time, straight into the ranks' arrays.
                 for name, outs in self._land_restart():
-                    self._deal(f.read_verified(name), outs)
+                    self._deal(f.read_verified(name), outs, self.n_land)
                 count = int(a["hist_count"])
             with cdf.read_file(os.path.join(rdir, entries["datm_r"])) as f:
                 start_step = int(f.read("next_step"))
@@ -734,7 +736,7 @@ class _Run:
                 window_start_hours = float(f.read("window_start_hours"))
             with cdf.read_file(os.path.join(rdir, entries["cpl_r"])) as f:
                 for k in VARIABLES:
-                    self._deal(f.read(f"x2l_{k}"), [r.bundle[k] for r in self.ranks])
+                    self._deal(f.read(f"x2l_{k}"), [r.bundle[k] for r in self.ranks], self.n_land)
         except KeyError as e:
             raise cdf.CdfError(f"restart bundle in {rdir} lacks {e}") from None
         done_days = start_step // cfg.steps_per_day
@@ -834,7 +836,7 @@ class _Run:
                     if isinstance(data, list):
                         record = 0 if vdims[0] == "time" else None
                         self.write_stats.append(
-                            rearrange_write(data, self.iod, self.plan, w, v, record=record)
+                            rearrange_write(data, self.decomp, self.plan, w, v, record=record)
                         )
                     else:
                         w.write_full(v, data)

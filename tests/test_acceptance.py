@@ -15,7 +15,7 @@ import pytest
 
 from kiloland import cdf
 from kiloland.compare import check_replication, files_bit_identical
-from kiloland.decomp import SCHEMES, IoDecomp, make_plan, partition, rearrange_write
+from kiloland.decomp import SCHEMES, make_plan, partition, rearrange_write
 from kiloland.domain import Grid2D, build_domain
 from kiloland.forcing import (
     STEPS_PER_DAY,
@@ -190,11 +190,10 @@ def test_c05_aggregated_writes_match_serial(n_agg, buffer_limit):
 
     serial = cdf.write_file(None, model(), {"v": data})
     part = partition(n, 8, "round_robin")
-    iod = IoDecomp(part)
-    plan = make_plan(iod.total_elements, n_agg, buffer_limit)
+    plan = make_plan(part.n_cells, n_agg, buffer_limit)
     buf = io.BytesIO()
     w = cdf.CdfWriter(buf, model())
-    rearrange_write([data[c] for c in part.local_lists], iod, plan, w, "v")
+    rearrange_write([data[c] for c in part.local_lists], part, plan, w, "v")
     w.close()
     assert buf.getvalue() == serial
 

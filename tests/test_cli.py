@@ -287,6 +287,22 @@ class TestGlobalFlags:
         out = str(tmp_path / "gw")
         assert run_cli("--workers", "2", "--config", cfg, "run", "--out", out) == 0
 
+    def test_zero_workers_exits_one(self, pipeline, capsys):
+        """A given --workers 0, local or global, replaces the config's
+        worker count and fails the partition's check."""
+        root, cfg, tmp_path = pipeline
+        out = str(tmp_path / "z")
+        assert run_cli("run", "--case", cfg, "--out", out) == 0
+        capsys.readouterr()
+        for argv in (
+            ("run", "--case", cfg, "--workers", "0"),
+            ("--workers", "0", "--config", cfg, "run"),
+            ("resume", "--case", cfg, "--extra-days", "1", "--workers", "0"),
+            ("--workers", "0", "--config", cfg, "resume", "--extra-days", "1"),
+        ):
+            assert run_cli(*argv, "--out", out) == 1, argv
+            assert "n_cells and n_ranks must be >= 1" in capsys.readouterr().err, argv
+
     def test_iostats_csv_written(self, pipeline, capsys):
         root, cfg, tmp_path = pipeline
         out = str(tmp_path / "st")

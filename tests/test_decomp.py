@@ -13,7 +13,6 @@ from kiloland.decomp import (
     ROUND_ROBIN,
     SCHEMES,
     IoDecomp,
-    Partition,
     index_dtype,
     make_plan,
     partition,
@@ -71,14 +70,12 @@ class TestPartition:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             part = partition(n, p, scheme, block_size=b)
-        # Every cell assigned exactly once.
+        # Every cell assigned exactly once, each rank's cells ascending.
         all_cells = np.concatenate(part.local_lists)
         assert len(all_cells) == n
         assert len(np.unique(all_cells)) == n
-        # Per-rank lists ascending, matching the assignment array.
-        for r, cells in enumerate(part.local_lists):
+        for cells in part.local_lists:
             assert np.all(np.diff(cells) > 0) if len(cells) > 1 else True
-            assert np.all(part.assignment[cells] == r)
         counts = np.array([len(l) for l in part.local_lists])
         spread = counts.max() - counts.min()
         if scheme in (ROUND_ROBIN, BLOCK):
@@ -86,15 +83,59 @@ class TestPartition:
         else:
             assert spread <= b
 
+    @given(
+        n=st.integers(1, 300),
+        p=st.integers(1, 40),
+        scheme=st.sampled_from(SCHEMES),
+        b=st.integers(1, 20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lists_are_each_schemes_definition(self, n, p, scheme, b):
+        """Round-robin puts cell c on rank c % p, block round-robin on
+        (c // b) % p, and block gives contiguous runs, the longer ones
+        first, whose sizes differ by at most one (n < p included)."""
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lists = partition(n, p, scheme, block_size=b).local_lists
+        assert len(lists) == p
+        cells = np.arange(n)
+        if scheme == BLOCK:
+            sizes = [len(l) for l in lists]
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+            np.testing.assert_array_equal(np.concatenate(lists), cells)
+        else:
+            rank = cells % p if scheme == ROUND_ROBIN else (cells // b) % p
+            for r, l in enumerate(lists):
+                np.testing.assert_array_equal(l, cells[rank == r])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_builds_the_lists_without_a_sort(self, scheme):
+        """The lists are one 4-byte order and the build's transients stay
+        small: no per-cell rank array and no int64 argsort."""
+        import tracemalloc
+
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            part = partition(n, 2, scheme)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert part.n_cells == n
+        assert retained <= 4 * n + 4096, retained / n
+        assert peak < 10 * n, peak / n
+
 
 class TestIoDecomp:
     def test_single_rank_identity(self):
         part = partition(6, 1, BLOCK)
-        np.testing.assert_array_equal(IoDecomp(part).gather([np.arange(6.0)]), np.arange(6.0))
+        np.testing.assert_array_equal(part.gather([np.arange(6.0)]), np.arange(6.0))
 
     def test_round_robin_flat_example(self):
         part = partition(4, 2, ROUND_ROBIN)
-        out = IoDecomp(part).gather([np.array([10, 12]), np.array([11, 13])])
+        out = part.gather([np.array([10, 12]), np.array([11, 13])])
         np.testing.assert_array_equal(out, [10, 11, 12, 13])
 
     @given(
@@ -111,29 +152,29 @@ class TestIoDecomp:
             warnings.simplefilter("ignore")
             part = partition(n, p, scheme)
         data = np.random.default_rng(seed).standard_normal(n)
-        assert np.array_equal(IoDecomp(part).gather([data[c] for c in part.local_lists]), data)
+        assert np.array_equal(part.gather([data[c] for c in part.local_lists]), data)
 
     def test_offsets_partition_the_space(self):
         part = partition(50, 7, BLOCK_ROUND_ROBIN, block_size=4)
         ranks = [np.full(len(cells), r) for r, cells in enumerate(part.local_lists)]
-        out = IoDecomp(part).gather(ranks)
-        np.testing.assert_array_equal(out, part.assignment)
+        out = part.gather(ranks)
+        np.testing.assert_array_equal(out, (np.arange(50) // 4) % 7)
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_retains_under_one_byte_per_cell(self, p):
-        """The decomposition is the partition's cell lists: it keeps no
+        """The decomposition is its cell lists: its coverage check keeps no
         per-rank index array of its own."""
         import tracemalloc
 
         n = 1_000_000
-        part = partition(n, p, ROUND_ROBIN)
+        lists = partition(n, p, ROUND_ROBIN).local_lists
         tracemalloc.start()
         try:
-            iod = IoDecomp(part)
+            iod = IoDecomp(n, lists)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert iod.total_elements == n
+        assert iod.n_cells == n
         assert retained < n
 
     def test_coverage_check_peaks_under_two_bytes_per_cell(self):
@@ -141,10 +182,10 @@ class TestIoDecomp:
         import tracemalloc
 
         n = 1_000_000
-        part = partition(n, 2, ROUND_ROBIN)
+        lists = partition(n, 2, ROUND_ROBIN).local_lists
         tracemalloc.start()
         try:
-            IoDecomp(part)
+            IoDecomp(n, lists)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -159,16 +200,8 @@ class TestIoDecomp:
         ],
     )
     def test_rejects_partition_that_misses_or_repeats_a_cell(self, local_lists, bad):
-        part = Partition(
-            scheme=BLOCK,
-            n_cells=6,
-            n_ranks=2,
-            block_size=None,
-            assignment=np.zeros(6, dtype=np.int32),
-            local_lists=[np.array(cells) for cells in local_lists],
-        )
         with pytest.raises(ValueError, match=rf"exactly once \(first bad offset {bad}\)"):
-            IoDecomp(part)
+            IoDecomp(6, [np.array(cells) for cells in local_lists])
 
 
 class TestPlan:
@@ -212,17 +245,16 @@ def write_pair(n_cells, p, n_agg, buffer_limit, scheme, rng, record_var=False):
     serial = cdf.write_file(None, model(), {"v": data}, numrecs=numrecs)
 
     part = partition(n_cells, p, scheme)
-    iod = IoDecomp(part)
-    plan = make_plan(iod.total_elements, n_agg, buffer_limit)
+    plan = make_plan(part.n_cells, n_agg, buffer_limit)
     buf = io.BytesIO()
     w = cdf.CdfWriter(buf, model(), numrecs=numrecs)
     if record_var:
         for rec in range(numrecs):
             locals_ = [data[rec][c] for c in part.local_lists]
-            rearrange_write(locals_, iod, plan, w, "v", record=rec)
+            rearrange_write(locals_, part, plan, w, "v", record=rec)
     else:
         locals_ = [data[c] for c in part.local_lists]
-        rearrange_write(locals_, iod, plan, w, "v")
+        rearrange_write(locals_, part, plan, w, "v")
     w.close()
     return serial, buf.getvalue()
 
@@ -248,13 +280,12 @@ class TestRearrangeWrite:
     def test_stats_and_csv(self, rng):
         n = 128
         part = partition(n, 4, BLOCK)
-        iod = IoDecomp(part)
         plan = make_plan(n, 2, 1024)
         model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("gridcell", n)])
         model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
         w = cdf.CdfWriter(io.BytesIO(), model)
         data = rng.standard_normal(n)
-        stats = rearrange_write([data[c] for c in part.local_lists], iod, plan, w, "v")
+        stats = rearrange_write([data[c] for c in part.local_lists], part, plan, w, "v")
         w.close()
         assert stats.bytes_written == n * 8
         assert stats.per_aggregator_bytes == [64 * 8, 64 * 8]
@@ -279,12 +310,11 @@ class TestRearrangeWrite:
         )
         model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("time", "gridcell")))
         part = partition(n, 8, scheme)
-        iod = IoDecomp(part)
         plan = make_plan(n, 3, 1024)
         w = RecordingWriter(io.BytesIO(), model, numrecs=numrecs)
         for rec in range(numrecs):
             data = rng.standard_normal(n)
-            rearrange_write([data[c] for c in part.local_lists], iod, plan, w, "v", record=rec)
+            rearrange_write([data[c] for c in part.local_lists], part, plan, w, "v", record=rec)
         w.close()
         chunks = [(0, 128), (128, 73), (201, 128), (329, 72), (401, 128), (529, 72)]
         assert calls == [(s, k, rec) for rec in range(numrecs) for s, k in chunks]
@@ -292,25 +322,23 @@ class TestRearrangeWrite:
     def test_rank_count_mismatch_rejected(self, rng):
         n = 16
         part = partition(n, 2, BLOCK)
-        iod = IoDecomp(part)
         model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("gridcell", n)])
         model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
         w = cdf.CdfWriter(io.BytesIO(), model)
         data = rng.standard_normal(n)
         locals_ = [data[c] for c in part.local_lists]
         with pytest.raises(ValueError, match="1 rank arrays for 2 ranks"):
-            rearrange_write(locals_[:1], iod, make_plan(n, 1), w, "v")
+            rearrange_write(locals_[:1], part, make_plan(n, 1), w, "v")
 
     def test_data_for_an_empty_rank_rejected(self):
         with pytest.warns(UserWarning, match="empty ranks"):
             part = partition(3, 4, ROUND_ROBIN)
-        iod = IoDecomp(part)
         model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("gridcell", 3)])
         model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
         w = cdf.CdfWriter(io.BytesIO(), model)
         locals_ = [np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1)]
         with pytest.raises(ValueError, match="v: rank 3 supplied 1 of 0 elements"):
-            rearrange_write(locals_, iod, make_plan(3, 1), w, "v")
+            rearrange_write(locals_, part, make_plan(3, 1), w, "v")
 
     @pytest.mark.parametrize("name, dims", [("levels", ("lev", "gridcell")), ("short", ("short",))])
     def test_variable_without_one_value_per_gridcell_rejected(self, name, dims):
@@ -325,12 +353,11 @@ class TestRearrangeWrite:
         w = cdf.CdfWriter(io.BytesIO(), model)
         locals_ = [np.zeros(len(cells)) for cells in part.local_lists]
         with pytest.raises(ValueError, match=rf"^{name}: .* not one per gridcell \(16\)"):
-            rearrange_write(locals_, IoDecomp(part), make_plan(n, 1), w, name)
+            rearrange_write(locals_, part, make_plan(n, 1), w, name)
 
     def test_integrity_error_names_offset(self, rng):
         n = 16
         part = partition(n, 2, BLOCK)
-        iod = IoDecomp(part)
         plan = make_plan(n, 1)
         model = cdf.CdfModel(variant=cdf.CDF5, dims=[cdf.Dim("gridcell", n)])
         model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
@@ -339,4 +366,4 @@ class TestRearrangeWrite:
         locals_ = [data[c] for c in part.local_lists]
         locals_[1] = locals_[1][:-1]  # drop one element from rank 1
         with pytest.raises(ValueError, match="offset"):
-            rearrange_write(locals_, iod, plan, w, "v")
+            rearrange_write(locals_, part, plan, w, "v")
