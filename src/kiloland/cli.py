@@ -154,8 +154,8 @@ def cmd_run(args) -> int:
         print(f"history: {p}")
     for tag in result.restart_dates:
         print(f"restart: {tag}")
-    for region, secs in result.component_seconds.items():
-        print(f"{region.upper()} seconds: {secs:.3f}")
+    for region in ("atm", "cpl", "lnd"):
+        print(f"{region.upper()} seconds: {result.timers.total(region):.3f}")
     return 0
 
 
@@ -173,7 +173,7 @@ def cmd_resume(args) -> int:
 def cmd_compare(args) -> int:
     from .compare import check_replication, compare_files
 
-    if args.replication > 1:
+    if args.replication != 1:
         report = check_replication(args.file_a, args.file_b, args.replication)
     else:
         report = compare_files(args.file_a, args.file_b, tol=args.tol)

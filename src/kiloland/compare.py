@@ -269,7 +269,7 @@ def check_replication(base_path, replica_path, k: int) -> CompareReport:
     return _compare(base_path, replica_path, "bit", 0.0, copies=k)
 
 
-def files_bit_identical(a: str, b: str, chunk: int = SLAB_BYTES) -> bool:
+def files_bit_identical(a: str, b: str) -> bool:
     """Whole-file byte equality, streamed."""
     import os
 
@@ -277,8 +277,8 @@ def files_bit_identical(a: str, b: str, chunk: int = SLAB_BYTES) -> bool:
         return False
     with open(a, "rb") as fa, open(b, "rb") as fb:
         while True:
-            ba = fa.read(chunk)
-            bb = fb.read(chunk)
+            ba = fa.read(SLAB_BYTES)
+            bb = fb.read(SLAB_BYTES)
             if ba != bb:
                 return False
             if not ba:

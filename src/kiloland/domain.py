@@ -58,15 +58,12 @@ class Grid2D:
     def n_cells(self) -> int:
         return self.n_rows * self.n_cols
 
-    def cell_centers(self, rows=None, cols=None):
-        """Projected (x, y) centers, broadcast over the row/col grid."""
-        r = np.arange(self.n_rows) if rows is None else np.asarray(rows)
-        c = np.arange(self.n_cols) if cols is None else np.asarray(cols)
-        x = self.origin_x + c * self.cell_size
-        y = self.origin_y + r * self.cell_size
-        return np.broadcast_to(x, (r.size, c.size)), np.broadcast_to(
-            y[:, None], (r.size, c.size)
-        )
+    def cell_centers(self):
+        """Projected (x, y) centers of every cell, each (n_rows, n_cols)."""
+        shape = (self.n_rows, self.n_cols)
+        x = self.origin_x + np.arange(self.n_cols) * self.cell_size
+        y = self.origin_y + np.arange(self.n_rows) * self.cell_size
+        return np.broadcast_to(x, shape), np.broadcast_to(y[:, None], shape)
 
 
 @dataclass

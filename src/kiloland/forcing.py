@@ -37,7 +37,6 @@ __all__ = [
     "ForcingVariableSpec",
     "STEPS_PER_DAY",
     "STEP_HOURS",
-    "ShapeProfile",
     "VARIABLES",
     "downscale_day",
     "downscale_month",
@@ -101,21 +100,21 @@ def downscale_day(daily, shape, mode: str) -> np.ndarray:
     shape = np.asarray(shape, dtype=np.float64)
     if shape.shape[-1] != STEPS_PER_DAY:
         raise ValueError(f"shape profile must have {STEPS_PER_DAY} steps")
-    return _spread(daily[..., None], shape, mode, axis=-1)
+    return _spread(daily[..., None], shape, mode)
 
 
-def _spread(d, shape, mode: str, axis: int) -> np.ndarray:
+def _spread(d, shape, mode: str) -> np.ndarray:
     """The downscaling formulas on float64 operands that broadcast against
-    each other, with the 8 steps of `shape` along `axis`."""
+    each other, with the 8 steps of `shape` along the last axis."""
     if np.any(np.isnan(d)) or np.any(np.isnan(shape)):
         raise ValueError("NaN in downscaling input")
     if mode == ADDITIVE:
-        return d + (shape - shape.mean(axis=axis, keepdims=True))
+        return d + (shape - shape.mean(axis=-1, keepdims=True))
     if mode in (MULTIPLICATIVE, SUM_PRESERVING):
         if np.any(shape < 0):
             raise ValueError(f"{mode} profiles must be nonnegative")
-        agg = shape.mean(axis=axis, keepdims=True) if mode == MULTIPLICATIVE else shape.sum(
-            axis=axis, keepdims=True
+        agg = shape.mean(axis=-1, keepdims=True) if mode == MULTIPLICATIVE else shape.sum(
+            axis=-1, keepdims=True
         )
         uniform = d if mode == MULTIPLICATIVE else d / STEPS_PER_DAY
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -144,13 +143,6 @@ def _spread_day(out, d, shape, mode: str, product) -> None:
 
 
 @dataclass
-class ShapeProfile:
-    """Per-variable, per-day reference sub-daily profiles (8 steps)."""
-
-    values: dict  # var -> (n_days, 8) float64
-
-
-@dataclass
 class ForcingMonth:
     year: int
     month: int
@@ -165,14 +157,15 @@ class ForcingMonth:
 
 def downscale_month(
     daily_fields: dict,
-    profiles: ShapeProfile,
+    profiles: dict,
     d: DomainSpec,
     year: int,
     month: int,
     offset_hours: float = 0.0,
 ) -> ForcingMonth:
     """Downscale a month of daily 2D fields to 3-hourly, land-compacted
-    records. `offset_hours` positions the month inside its period.
+    records, shaped by each variable's (n_days, 8) sub-daily `profiles`.
+    `offset_hours` positions the month inside its period.
 
     Each daily field is compacted to its land cells first and checked once,
     then downscaled one day at a time: day k's float64 formula is written
@@ -192,7 +185,7 @@ def downscale_month(
             raise ValueError(
                 f"{name}: daily field shape {daily.shape} != ({n_days}, {nj}, {ni})"
             )
-        prof = np.asarray(profiles.values[name], dtype=np.float64)
+        prof = np.asarray(profiles[name], dtype=np.float64)
         if prof.shape != (n_days, STEPS_PER_DAY):
             raise ValueError(f"{name}: profile shape {prof.shape} != ({n_days}, 8)")
         land = compact(daily, d)  # (n_days, n_land)
@@ -227,7 +220,9 @@ def _quantize(x, frac_bits: int) -> np.ndarray:
 
 def synth_forcing(seed: int, d: DomainSpec, months: list) -> list:
     """Deterministic synthetic daily fields + profiles for (year, month)
-    pairs. Same seed gives bit-identical output.
+    pairs: one (year, month, daily, profiles) per pair, `profiles` mapping
+    each variable to its (n_days, 8) sub-daily shape. Same seed gives
+    bit-identical output.
 
     Ranges are physically plausible: TBOT 230-310 K, FSDS >= 0 with night
     zeros and an early-afternoon peak, PRECT >= 0. Additive-mode fields are
@@ -280,7 +275,7 @@ def synth_forcing(seed: int, d: DomainSpec, months: list) -> list:
         w = rng.random((n_days, 8))
         w[w < 0.4] = 0.0
         prof["PRECT"] = w
-        out.append((year, month, daily, ShapeProfile(prof)))
+        out.append((year, month, daily, prof))
     return out
 
 
@@ -401,6 +396,8 @@ def gen_forcing_files(seed: int, d: DomainSpec, months: list, out_dir) -> list:
     Month files are positioned on the calendar relative to the first
     requested month, so a missing month leaves a detectable gap.
     """
+    if not months:
+        raise ValueError("no months to generate")
     os.makedirs(str(out_dir), exist_ok=True)
     paths = []
     period_start = months[0]

@@ -16,8 +16,6 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 __all__ = [
     "Bandwidth",
     "CostModel",
@@ -72,12 +70,12 @@ class TimerTree:
             node = node.children[part]
         return node.seconds
 
-    def validate(self, slack: float = 0.001) -> None:
-        """Children must not out-sum their parent (within slack seconds)."""
+    def validate(self) -> None:
+        """Children must not out-sum their parent (within a millisecond)."""
         for node in self._walk():
             if node.children and node.seconds > 0:
                 child_sum = sum(c.seconds for c in node.children.values())
-                if child_sum > node.seconds + slack:
+                if child_sum > node.seconds + 0.001:
                     raise ValueError(
                         f"region {node.name}: children sum {child_sum:.6f}s exceeds "
                         f"parent {node.seconds:.6f}s"
@@ -177,10 +175,9 @@ class ScalingTable:
     """Strong-scaling speedup, ideal speedup, and parallel efficiency."""
 
     records: list
-    baseline_index: int = 0
 
     def __post_init__(self):
-        base = self.records[self.baseline_index]
+        base = self.records[0]
         cases = {r.component for r in self.records}
         if len(cases) != 1:
             raise ValueError("records must share one component")
@@ -194,15 +191,16 @@ class ScalingTable:
         self.efficiency = [s / i for s, i in zip(self.speedup, self.ideal)]
 
 
-def weak_efficiency(records: list, baseline_index: int = 0, tolerance: float = 0.05) -> list:
-    """Scaled efficiency T_base / T_i for constant per-core workload."""
-    base = records[baseline_index]
+def weak_efficiency(records: list) -> list:
+    """Scaled efficiency T_base / T_i for constant per-core workload, the
+    first record being the baseline; cells per core may drift by 5%."""
+    base = records[0]
     for r in records:
         if base.cells_per_core and r.cells_per_core:
             drift = abs(r.cells_per_core - base.cells_per_core) / base.cells_per_core
-            if drift > tolerance:
+            if drift > 0.05:
                 raise ValueError(
-                    f"cells per core varies by {drift:.1%} (> {tolerance:.0%}): "
+                    f"cells per core varies by {drift:.1%} (> 5%): "
                     "not a weak-scaling series"
                 )
     return [base.run_seconds / r.run_seconds for r in records]
@@ -235,27 +233,14 @@ def bandwidth(decimal_gb: float, seconds: float) -> Bandwidth:
 
 @dataclass
 class CostModel:
-    """T(P) = c_cell*N*steps/P + c_sync*steps*log2(max(P, 2)).
-
-    io_read_points holds measured (cores, seconds) pairs for the read
-    phase; io_read_seconds interpolates them piecewise. Reads are kept out
-    of the land-time predictor, whose formula covers compute + sync only.
-    """
+    """T(P) = c_cell*N*steps/P + c_sync*steps*log2(max(P, 2)): compute and
+    sync only, with no I/O term."""
 
     c_cell: float = 0.0  # seconds per cell-step
     c_sync: float = 0.0  # seconds per step per log2(P)
-    io_read_points: list = None  # [(cores, seconds)], optional calibration
 
     def calibrated(self) -> bool:
         return self.c_cell > 0
-
-    def io_read_seconds(self, n_cores: int) -> float:
-        if not self.io_read_points:
-            return 0.0
-        pts = sorted(self.io_read_points)
-        cores = [p for p, _ in pts]
-        secs = [s for _, s in pts]
-        return float(np.interp(n_cores, cores, secs))
 
     @staticmethod
     def _check(n_cells: int, n_steps: int, n_cores: int) -> None:
@@ -422,7 +407,7 @@ def run_scaling_suite(
                 else:
                     _check_same_outputs(reference.out_dir, result.out_dir, w)
             if w not in best or (
-                result.component_seconds["lnd"] < best[w].component_seconds["lnd"]
+                result.timers.total("lnd") < best[w].timers.total("lnd")
             ):
                 best[w] = result
     rows = {
@@ -431,8 +416,8 @@ def run_scaling_suite(
                 case=configs[w].name,
                 component=comp,
                 n_cores=w,
-                init_seconds=best[w].init_seconds,
-                run_seconds=best[w].component_seconds[region],
+                init_seconds=best[w].timers.total("init"),
+                run_seconds=best[w].timers.total(region),
                 sim_days=configs[w].n_days,
                 cells_per_core=best[w].n_land / w,
             )

@@ -47,7 +47,8 @@ import numpy as np
 
 from . import cdf, write_provenance
 from .decomp import (
-    DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, make_plan, partition, rearrange_write,
+    DEFAULT_BLOCK_SIZE, DEFAULT_BUFFER_LIMIT, IOSTATS_HEADER, SCHEMES, make_plan, partition,
+    rearrange_write,
 )
 from .domain import read_domain, read_domain_header, replicate, write_domain
 from .forcing import STEP_HOURS, ForcingFiles, ForcingStream, VARIABLES, forcing_files
@@ -253,6 +254,14 @@ class CaseConfig:
         for kind in ("history", "restart"):
             _event_steps(0, self.steps_per_day, getattr(self, f"{kind}_interval"), kind)
         datetime.date.fromisoformat(self.start)
+        if self.lnd_workers < 1:
+            raise ValueError("lnd_workers must be >= 1")
+        if self.partition_scheme not in SCHEMES:
+            raise ValueError(
+                f"unknown partition_scheme {self.partition_scheme!r} (choose from {SCHEMES})"
+            )
+        if self.block_size < 1:
+            raise ValueError("block_size must be >= 1")
 
     @property
     def steps_per_day(self) -> int:
@@ -312,6 +321,10 @@ class CaseConfig:
                         raise ValueError(
                             f"{path}:{lineno}: {key} must be an integer, not {value!r}"
                         ) from None
+                try:
+                    cls(**{name: value})  # every check in __post_init__ takes one value
+                except ValueError as e:
+                    raise ValueError(f"{path}:{lineno}: {key}: {e}") from None
                 kwargs[name] = value
         cfg = cls(**kwargs)
         base = os.path.dirname(os.path.abspath(path))
@@ -342,16 +355,6 @@ def replicate_case(cfg: CaseConfig, k: int, out_dir: str) -> CaseConfig:
 
 # ---------------------------------------------------------------------------
 # Worker execution
-
-
-@dataclass
-class _RunState:
-    """Where a run starts: a fresh set-up or a restart bundle."""
-
-    start_step: int
-    count: int  # steps in the history accumulators
-    window_start_hours: float
-    total_days: int
 
 
 @dataclass
@@ -565,9 +568,6 @@ class RunResult:
     restart_dates: list
     rpointer_path: str
     timers: TimerTree
-    component_seconds: dict
-    init_seconds: float
-    write_stats: list
 
     @property
     def latest_restart(self) -> dict:
@@ -659,13 +659,9 @@ class _Run:
                 n_cols = f.model.dim("gridcell").length
                 _check_columns(self.n_land, self.n_copies, n_cols, "surface")
                 if resume_entries is None:
-                    run = self._fresh_state(f, n_cols)
+                    self._fresh_state(f, n_cols)
                 else:
-                    run = self._load_restart(resume_entries, extra_days)
-            self.start_step = run.start_step
-            self.count = run.count
-            self.window_start_hours = run.window_start_hours
-            self.total_steps = run.total_days * cfg.steps_per_day
+                    self._load_restart(resume_entries, extra_days)
             # Forcing must cover the whole run.
             t_end = self.forcing.time[-1] + STEP_HOURS
             end_hours = self.total_steps * cfg.dt_hours
@@ -695,7 +691,8 @@ class _Run:
             (f"hsum_{v}", [r.sums[i] for r in self.ranks]) for i, v in enumerate(HIST_VARS)
         ]
 
-    def _fresh_state(self, surface: cdf.CdfFile, n_cols: int) -> _RunState:
+    def _fresh_state(self, surface: cdf.CdfFile, n_cols: int):
+        """Start the run at step 0 from the surface file's initial state."""
         cfg = self.cfg
         month = datetime.date.fromisoformat(cfg.start).month
         surf_cols, month_lai = _read_init_surface(surface, month)
@@ -712,10 +709,12 @@ class _Run:
         # cells' columns; its sums and bundle start at zero.
         for k, v in init.items():
             self._deal(v, [r.state[k] for r in self.ranks], n_cols)
-        return _RunState(start_step=0, count=0, window_start_hours=0.0, total_days=cfg.n_days)
+        self.start_step, self.count, self.window_start_hours = 0, 0, 0.0
+        self.total_steps = cfg.n_days * cfg.steps_per_day
 
-    def _load_restart(self, entries, extra_days) -> _RunState:
-        """The bundle's run state; a missing field or a bad checksum is a CdfError."""
+    def _load_restart(self, entries, extra_days):
+        """Continue the run from the bundle for `extra_days` (None: the
+        case's `n_days`); a missing field or a bad checksum is a CdfError."""
         cfg = self.cfg
         rdir = entries["dir"]
         self._build_ranks()
@@ -729,23 +728,19 @@ class _Run:
                 # One variable at a time, straight into the ranks' arrays.
                 for name, outs in self._land_restart():
                     self._deal(f.read_verified(name), outs, self.n_land)
-                count = int(a["hist_count"])
+                self.count = int(a["hist_count"])
             with cdf.read_file(os.path.join(rdir, entries["datm_r"])) as f:
-                start_step = int(f.read("next_step"))
+                self.start_step = int(f.read("next_step"))
             with cdf.read_file(os.path.join(rdir, entries["rh0"])) as f:
-                window_start_hours = float(f.read("window_start_hours"))
+                self.window_start_hours = float(f.read("window_start_hours"))
             with cdf.read_file(os.path.join(rdir, entries["cpl_r"])) as f:
                 for k in VARIABLES:
                     self._deal(f.read(f"x2l_{k}"), [r.bundle[k] for r in self.ranks], self.n_land)
         except KeyError as e:
             raise cdf.CdfError(f"restart bundle in {rdir} lacks {e}") from None
-        done_days = start_step // cfg.steps_per_day
-        return _RunState(
-            start_step=start_step,
-            count=count,
-            window_start_hours=window_start_hours,
-            total_days=done_days + (extra_days if extra_days is not None else cfg.n_days),
-        )
+        done_days = self.start_step // cfg.steps_per_day
+        days = extra_days if extra_days is not None else cfg.n_days
+        self.total_steps = (done_days + days) * cfg.steps_per_day
 
     # -- main loop -----------------------------------------------------------
 
@@ -778,11 +773,9 @@ class _Run:
         finally:
             workers.close()
         merged = merge_timers([r.timers for r in self.ranks]).children
-        component_seconds = {}
         for region in ("atm", "cpl", "lnd"):
             node = merged.get(region)
-            component_seconds[region] = node.max_seconds if node else 0.0
-            self.timers.add(region, component_seconds[region])
+            self.timers.add(region, node.max_seconds if node else 0.0)
         self._write_iostats()
         self._write_provenance()
         return RunResult(
@@ -792,9 +785,6 @@ class _Run:
             restart_dates=self.restart_dates,
             rpointer_path=os.path.join(self.out_dir, f"rpointer.{cfg.name}"),
             timers=self.timers,
-            component_seconds=component_seconds,
-            init_seconds=self.timers.total("init"),
-            write_stats=self.write_stats,
         )
 
     # -- output --------------------------------------------------------------
@@ -942,6 +932,8 @@ def resume_case(cfg: CaseConfig, out_dir: str, extra_days: int, restart_dir: str
     State, history accumulators, and the forcing stream position resume
     exactly, so a split run is bit-identical to an uninterrupted one.
     """
+    if extra_days < 0:
+        raise ValueError(f"extra_days must be >= 0, not {extra_days}")
     rdir = restart_dir or out_dir
     rpointer = os.path.join(rdir, f"rpointer.{cfg.name}")
     if not os.path.exists(rpointer):

@@ -47,7 +47,6 @@ REQUIRED_VARS = ("PCT_CLAY", "FMAX", "PCT_PFT", "MONTHLY_LAI")
 class SubgridSpec:
     """Subgrid hierarchy bounds per gridcell."""
 
-    max_topounits: int = 1
     max_landunits: int = 5
     max_columns_per_landunit: int = 2
     soil_layers: int = SOIL_LAYERS
@@ -339,6 +338,8 @@ def synth_coarse_source(
 ) -> CoarseGrid:
     """Deterministic synthetic 0.5-degree-style source with the required
     surface variables plus `n_extra` generic ones."""
+    if not spacing > 0:
+        raise ValueError(f"spacing must be positive, not {spacing}")
     rng = np.random.default_rng([seed, 0x5F])
     lat = np.arange(lat_range[0], lat_range[1] + spacing / 2, spacing)
     # A padded range may pass a pole: the rows beyond it become the pole.

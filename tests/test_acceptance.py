@@ -127,7 +127,7 @@ def test_c04_daily_value_preservation(seed):
 
     for name, spec in VARIABLES.items():
         values = compact(daily[name], d)  # (n_days, n_land)
-        out = downscale_day(values.T, profiles.values[name], spec.downscale_mode)
+        out = downscale_day(values.T, profiles[name], spec.downscale_mode)
         if spec.downscale_mode == "additive":
             assert np.array_equal(out.mean(axis=-1), values.T), name
         elif spec.downscale_mode == "multiplicative":

@@ -153,6 +153,31 @@ class TestDomainTools:
                        "--out", out) == 0
 
 
+class TestBadToolValues:
+    """A bad value exits 1 with one `error:` line, not a traceback or a
+    silently different command."""
+
+    @pytest.mark.parametrize("argv, want", [
+        (("gen-forcing", "--months", "0"), "no months to generate"),
+        (("gen-forcing", "--months", "-2"), "no months to generate"),
+        (("gen-surface", "--spacing", "0"), "spacing must be positive, not 0.0"),
+        (("gen-surface", "--spacing", "-0.5"), "spacing must be positive, not -0.5"),
+    ])
+    def test_generator_rejects(self, tmp_path, capsys, argv, want):
+        out = str(tmp_path)
+        domain = make_domain(out)
+        capsys.readouterr()
+        assert run_cli(*argv, "--domain", domain, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_compare_replication_below_one_rejected(self, tmp_path, capsys, k):
+        domain = make_domain(str(tmp_path))
+        capsys.readouterr()
+        assert run_cli("compare", domain, domain, "--replication", k) == 1
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+
+
 class TestRunAndCompare:
     def test_pipeline_run_then_compare_golden(self, pipeline, capsys):
         root, cfg, tmp_path = pipeline
@@ -182,6 +207,18 @@ class TestRunAndCompare:
         assert run_cli("run", "--case", cfg, "--out", out) == 0
         assert run_cli("resume", "--case", cfg, "--extra-days", "1", "--out", out) == 0
         assert os.path.exists(os.path.join(out, "cli.elm.h0.2014-01-04-00000.nc"))
+
+    @pytest.mark.parametrize("days", ["-1", "-5"])
+    def test_resume_negative_days_exits_one_and_writes_nothing(self, pipeline, capsys, days):
+        root, cfg, tmp_path = pipeline
+        out = tmp_path / "r"
+        assert run_cli("run", "--case", cfg, "--out", str(out)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "cli.iostats.csv" in before
+        capsys.readouterr()
+        assert run_cli("resume", "--case", cfg, "--extra-days", days, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: extra_days must be >= 0, not {days}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_start_off_the_forcing_month_exits_one(self, pipeline, capsys):
         root, _, tmp_path = pipeline

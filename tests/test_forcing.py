@@ -14,7 +14,6 @@ from kiloland.forcing import (
     ForcingStream,
     STEP_HOURS,
     STEPS_PER_DAY,
-    ShapeProfile,
     VARIABLES,
     downscale_day,
     downscale_month,
@@ -121,7 +120,7 @@ class TestDownscaleMonth:
         for name, spec in VARIABLES.items():
             compacted_daily = compact(daily[name], aksp_mini)  # (n_days, n_land)
             direct = downscale_day(
-                compacted_daily.T, prof.values[name], spec.downscale_mode
+                compacted_daily.T, prof[name], spec.downscale_mode
             )  # (n_land, n_days, 8)
             direct = direct.transpose(1, 2, 0).reshape(fm.n_steps, -1).astype(np.float32)
             assert np.array_equal(direct, fm.values[name])
@@ -135,7 +134,7 @@ def whole_grid_month(daily_fields, profiles, d, year, month, offset_hours=0.0):
     values = {}
     for name, spec in VARIABLES.items():
         daily = np.asarray(daily_fields[name], dtype=np.float64)
-        prof = np.asarray(profiles.values[name], dtype=np.float64)
+        prof = np.asarray(profiles[name], dtype=np.float64)
         sub = downscale_day(daily.transpose(1, 2, 0), prof, spec.downscale_mode)
         sub = sub.transpose(2, 3, 0, 1).reshape(n_days * STEPS_PER_DAY, nj, ni)
         values[name] = compact(sub, d).astype(np.float32)
@@ -146,10 +145,10 @@ def whole_grid_month(daily_fields, profiles, d, year, month, offset_hours=0.0):
 def with_zero_day(profiles, day=3):
     """Profiles whose FSDS and PRECT are all zero on one day, so the
     uniform branch of the multiplicative and sum-preserving modes runs."""
-    values = {name: v.copy() for name, v in profiles.values.items()}
+    values = {name: v.copy() for name, v in profiles.items()}
     values["FSDS"][day] = 0.0
     values["PRECT"][day] = 0.0
-    return ShapeProfile(values)
+    return values
 
 
 class TestDownscaleMonthLandOnly:
@@ -161,7 +160,7 @@ class TestDownscaleMonthLandOnly:
             land = compact(daily[name], aksp_mini)  # (n_days, n_land)
             want = np.empty((fm.n_steps, aksp_mini.n_land), dtype=np.float32)
             for cell in range(aksp_mini.n_land):
-                per_day = downscale_day(land[:, cell], prof.values[name], spec.downscale_mode)
+                per_day = downscale_day(land[:, cell], prof[name], spec.downscale_mode)
                 want[:, cell] = per_day.reshape(-1)
             assert np.array_equal(fm.values[name], want), name
         # On the zero day every step holds the daily mean (FSDS) or an
@@ -185,23 +184,23 @@ class TestDownscaleMonthLandOnly:
         bad["QBOT"][7].flat[aksp_mini.land_flat[10]] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             downscale_month(bad, prof, aksp_mini, y, m)
-        bad_prof = ShapeProfile({k: v.copy() for k, v in prof.values.items()})
-        bad_prof.values["TBOT"][20, 4] = np.nan
+        bad_prof = {k: v.copy() for k, v in prof.items()}
+        bad_prof["TBOT"][20, 4] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             downscale_month(daily, bad_prof, aksp_mini, y, m)
 
     def test_negative_profile_rejected(self, aksp_mini):
         (y, m, daily, prof) = synth_forcing(5, aksp_mini, [(2014, 1)])[0]
-        prof.values["WIND"][30, 2] = -0.5
+        prof["WIND"][30, 2] = -0.5
         with pytest.raises(ValueError, match="nonnegative"):
             downscale_month(daily, prof, aksp_mini, y, m)
 
     def test_inputs_stay_unwritten(self, aksp_mini):
         (y, m, daily, prof) = synth_forcing(5, aksp_mini, [(2014, 1)])[0]
         prof = with_zero_day(prof)
-        before = [a.tobytes() for a in (*daily.values(), *prof.values.values())]
+        before = [a.tobytes() for a in (*daily.values(), *prof.values())]
         downscale_month(daily, prof, aksp_mini, y, m)
-        assert [a.tobytes() for a in (*daily.values(), *prof.values.values())] == before
+        assert [a.tobytes() for a in (*daily.values(), *prof.values())] == before
 
     def test_files_match_whole_grid_formula(self, aksp_mini, tmp_path):
         months = [(2014, 1), (2014, 2)]
@@ -221,7 +220,7 @@ class TestSynth:
 
     def test_fsds_profile_night_zero_day_peak(self, aksp_mini):
         (_, _, _, prof) = synth_forcing(1, aksp_mini, [(2014, 7)])[0]
-        fsds = prof.values["FSDS"]
+        fsds = prof["FSDS"]
         assert np.all(fsds >= 0)
         assert np.all(fsds[:, [0, 1, 7]] == 0.0)
         assert np.all(np.isin(np.argmax(fsds, axis=1), [3, 4, 5]))

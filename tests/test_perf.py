@@ -212,13 +212,6 @@ class TestPredictor:
         with pytest.raises(ValueError, match="not calibrated"):
             predict_times(CostModel(), 100, 10, [1, 2], sim_days=5)
 
-    def test_io_read_piecewise(self):
-        m = CostModel(io_read_points=[(100, 10.0), (400, 4.0), (200, 6.0)])
-        assert m.io_read_seconds(100) == 10.0
-        assert m.io_read_seconds(150) == 8.0
-        assert m.io_read_seconds(1000) == 4.0  # clamped to the last point
-        assert CostModel().io_read_seconds(64) == 0.0
-
     def test_calibration_and_trend(self):
         m = CostModel(c_sync=1.2e-5)
         m.calibrate(run_seconds=10.0, n_cells=100_000, n_steps=120, n_cores=1)
@@ -306,7 +299,7 @@ class TestMeasuredSuite:
         def recording(cfg, out_dir):
             result = run_case(cfg, out_dir)
             runs.append((cfg.lnd_workers, os.path.basename(out_dir),
-                         result.component_seconds["lnd"]))
+                         result.timers.total("lnd")))
             return result
 
         monkeypatch.setattr(simulation, "run_case", recording)

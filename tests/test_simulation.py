@@ -407,6 +407,20 @@ class TestCaseConfig:
         with pytest.raises(ValueError, match="unknown key"):
             CaseConfig.from_file(str(path))
 
+    @pytest.mark.parametrize("line, want", [
+        ("lnd.n_workers = 0", "lnd_workers must be >= 1"),
+        ("lnd.partition = diagonal", "unknown partition_scheme 'diagonal'"),
+        ("lnd.block_size = 0", "block_size must be >= 1"),
+        ("case.n_days = 0", "n_days must be >= 1"),
+        ("case.restart_interval = every:0d", "bad restart_interval"),
+    ])
+    def test_rejected_value_names_file_line_and_key(self, tmp_path, line, want):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"case.name = x\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}:2: {key}: {want}')}"):
+            CaseConfig.from_file(str(path))
+
     def test_non_integer_value_names_line_and_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("case.name = x\ncase.n_days = five\n")
@@ -499,8 +513,8 @@ class TestRunCase:
         cfg = make_case_config(mini_inputs, lnd_workers=workers)
         res = run_case(cfg, str(tmp_path / "t"))
         for region in ("atm", "cpl", "lnd"):
-            assert res.component_seconds[region] == res.timers.total(region) > 0, region
-        assert res.init_seconds > 0
+            assert res.timers.total(region) > 0, region
+        assert res.timers.total("init") > 0
         res.timers.validate()
 
     def test_root_run_region_timed(self, mini_inputs, tmp_path):
@@ -1088,6 +1102,16 @@ class TestRestart:
         assert res.history_paths == []
         assert open(hist, "rb").read() == before
         assert res.restart_dates == ["2014-01-03-00000"]
+
+    @pytest.mark.parametrize("days", [-1, -5])
+    def test_resume_negative_days_rejected_before_setup(self, mini_inputs, tmp_path, days):
+        cfg = make_case_config(mini_inputs, n_days=2)
+        out = tmp_path / "r"
+        run_case(cfg, str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ValueError, match=rf"^extra_days must be >= 0, not {days}$"):
+            resume_case(cfg, str(out), extra_days=days)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_restart_gathers_each_land_variable_once(self, mini_inputs, tmp_path,
