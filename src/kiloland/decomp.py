@@ -126,14 +126,19 @@ def partition(n_cells: int, n_ranks: int, scheme: str, block_size: int | None = 
         )
     dtype = index_dtype(n_cells)
     if scheme == BLOCK:
-        # Runs whose sizes differ by at most one, the longer ones first.
         order = np.arange(n_cells, dtype=dtype)
-        base, big = divmod(n_cells, n_ranks)
-        bounds = [r * base + min(r, big) for r in range(n_ranks + 1)]
-        lists = [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        lists = [order[lo:hi] for lo, hi in _even_runs(n_cells, n_ranks)]
     else:
         lists = _dealt_blocks(n_cells, n_ranks, size, dtype)
     return IoDecomp(n_cells, lists)
+
+
+def _even_runs(total: int, k: int) -> list:
+    """k contiguous [lo, hi) runs covering [0, total) whose lengths differ
+    by at most one, the longer runs first."""
+    base, big = divmod(total, k)
+    bounds = [r * base + min(r, big) for r in range(k + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _dealt_blocks(n_cells: int, n_ranks: int, size: int, dtype: np.dtype) -> list:
@@ -159,24 +164,10 @@ def _dealt_blocks(n_cells: int, n_ranks: int, size: int, dtype: np.dtype) -> lis
 @dataclass
 class AggregatorPlan:
     """Contiguous global element ranges, one per aggregator, plus the flush
-    buffer limit in bytes."""
+    buffer limit in bytes. `make_plan` builds it valid."""
 
-    n_aggregators: int
     ranges: list  # [(lo, hi)) partitioning [0, total)
-    buffer_limit: int = DEFAULT_BUFFER_LIMIT
-
-    def validate(self, total_elements: int) -> None:
-        if self.buffer_limit <= 0:
-            raise ValueError("buffer_limit must be positive")
-        cursor = 0
-        for lo, hi in self.ranges:
-            if lo != cursor or hi < lo:
-                raise ValueError("aggregator ranges must partition [0, total)")
-            cursor = hi
-        if cursor != total_elements:
-            raise ValueError(
-                f"aggregator ranges cover {cursor} of {total_elements} elements"
-            )
+    buffer_limit: int
 
 
 def make_plan(
@@ -187,16 +178,10 @@ def make_plan(
     """Equal contiguous element spans (within one) across aggregators."""
     if n_aggregators < 1:
         raise ValueError("need at least one aggregator")
+    if buffer_limit <= 0:
+        raise ValueError("buffer_limit must be positive")
     n_aggregators = min(n_aggregators, max(total_elements, 1))
-    base = total_elements // n_aggregators
-    extra = total_elements % n_aggregators
-    ranges = []
-    lo = 0
-    for a in range(n_aggregators):
-        hi = lo + base + (1 if a < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return AggregatorPlan(n_aggregators, ranges, buffer_limit)
+    return AggregatorPlan(_even_runs(total_elements, n_aggregators), buffer_limit)
 
 
 @dataclass
@@ -237,7 +222,9 @@ def rearrange_write(
     order, so the file is bit-identical to a serial write. A record of
     `var_name` must hold one value per gridcell.
     """
-    plan.validate(iod.n_cells)
+    covered = plan.ranges[-1][1]
+    if covered != iod.n_cells:
+        raise ValueError(f"aggregator ranges cover {covered} of {iod.n_cells} elements")
     var = writer.model.var(var_name)
     per_record = math.prod(writer.model.var_shape(var, 1))
     if per_record != iod.n_cells:
@@ -262,7 +249,7 @@ def rearrange_write(
         variable=var_name,
         bytes_written=sum(per_agg),
         seconds=time.perf_counter() - t0,
-        n_aggregators=plan.n_aggregators,
+        n_aggregators=len(plan.ranges),
         buffer_limit=plan.buffer_limit,
         per_aggregator_bytes=per_agg,
     )

@@ -11,7 +11,8 @@ construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,34 +104,26 @@ class DomainSpec:
         self.mask = np.ascontiguousarray(mask.astype(np.int8, copy=False))
         self.id_space = grid.n_cells if id_space is None else int(id_space)
         self.n_copies = int(n_copies)
-        self._gridcell_id = gridcell_id
-        self._land_flat = None
-        self._n_land = None
-        self._xc = self._yc = self._xv = self._yv = None
+        if gridcell_id is not None:
+            self.gridcell_id = gridcell_id
         self._tile_coords_from = None  # (base DomainSpec, k) set by replicate
 
     # -- basic shape and indexing ------------------------------------------
 
-    @property
+    @cached_property
     def n_land(self) -> int:
-        if self._n_land is None:
-            self._n_land = int(np.count_nonzero(self.mask))
-        return self._n_land
+        return int(np.count_nonzero(self.mask))
 
-    @property
+    @cached_property
     def land_flat(self) -> np.ndarray:
         """Flat row-major positions of land cells in this grid, ascending."""
-        if self._land_flat is None:
-            self._land_flat = np.flatnonzero(self.mask.reshape(-1))
-        return self._land_flat
+        return np.flatnonzero(self.mask.reshape(-1))
 
-    @property
+    @cached_property
     def gridcell_id(self) -> np.ndarray:
-        if self._gridcell_id is None:
-            self._gridcell_id = np.arange(self.grid.n_cells, dtype=np.int64).reshape(
-                self.grid.n_rows, self.grid.n_cols
-            )
-        return self._gridcell_id
+        return np.arange(self.grid.n_cells, dtype=np.int64).reshape(
+            self.grid.n_rows, self.grid.n_cols
+        )
 
     @property
     def land_index(self) -> np.ndarray:
@@ -161,7 +154,14 @@ class DomainSpec:
 
     # -- geolocation (lazy) ------------------------------------------------
 
-    def _geolocate(self):
+    @cached_property
+    def _coords(self) -> tuple:
+        """(xc, yc, xv, yv): tiled from the base of a replica, else
+        projected from the grid."""
+        if self._tile_coords_from is not None:
+            base, k = self._tile_coords_from
+            return (np.tile(base.xc, (k, 1)), np.tile(base.yc, (k, 1)),
+                    np.tile(base.xv, (1, k, 1)), np.tile(base.yv, (1, k, 1)))
         g = self.grid
         x, y = g.cell_centers()
         yc, xc = lcc_inverse(x, y, g.lcc)
@@ -171,43 +171,26 @@ class DomainSpec:
         for k, (dx, dy) in enumerate([(-h, -h), (h, -h), (h, h), (-h, h)]):
             lat, lon = lcc_inverse(x + dx, y + dy, g.lcc)
             xv[k], yv[k] = lon, lat
-        self._xc, self._yc, self._xv, self._yv = xc, yc, xv, yv
-
-    def _coord(self, name):
-        if self._xc is None:
-            if self._tile_coords_from is not None:
-                base, k = self._tile_coords_from
-                self._set_coords(
-                    np.tile(base.xc, (k, 1)),
-                    np.tile(base.yc, (k, 1)),
-                    np.tile(base.xv, (1, k, 1)),
-                    np.tile(base.yv, (1, k, 1)),
-                )
-            else:
-                self._geolocate()
-        return getattr(self, "_" + name)
+        return xc, yc, xv, yv
 
     @property
     def xc(self) -> np.ndarray:
         """Cell-center longitudes, degrees."""
-        return self._coord("xc")
+        return self._coords[0]
 
     @property
     def yc(self) -> np.ndarray:
         """Cell-center latitudes, degrees."""
-        return self._coord("yc")
+        return self._coords[1]
 
     @property
     def xv(self) -> np.ndarray:
         """Corner longitudes (4, nj, ni), SW/SE/NE/NW order."""
-        return self._coord("xv")
+        return self._coords[2]
 
     @property
     def yv(self) -> np.ndarray:
-        return self._coord("yv")
-
-    def _set_coords(self, xc, yc, xv, yv):
-        self._xc, self._yc, self._xv, self._yv = xc, yc, xv, yv
+        return self._coords[3]
 
 
 def build_domain(grid: Grid2D, mask) -> DomainSpec:
@@ -251,35 +234,31 @@ def subset(d: DomainSpec, bbox=None, ids=None) -> DomainSpec:
     """Extract a sub-domain by projected-meter bbox (xmin, ymin, xmax, ymax)
     over cell centers, or by an explicit list of gridcell ids.
 
-    Gridcell ids are preserved from the parent for traceability. An id
-    selection keeps the bounding window, with unselected cells masked out.
+    Gridcell ids are preserved from the parent for traceability. The
+    sub-domain is the bounding window of the selected cells, with
+    unselected cells masked out.
     """
     g = d.grid
     if (bbox is None) == (ids is None):
         raise ValueError("exactly one of bbox or ids must be given")
     if bbox is not None:
         xmin, ymin, xmax, ymax = bbox
-        cx = g.origin_x + np.arange(g.n_cols) * g.cell_size
-        cy = g.origin_y + np.arange(g.n_rows) * g.cell_size
-        cols = np.flatnonzero((cx >= xmin) & (cx <= xmax))
-        rows = np.flatnonzero((cy >= ymin) & (cy <= ymax))
-        if rows.size == 0 or cols.size == 0:
-            raise ValueError("selector does not intersect the domain")
-        r0, r1 = rows[0], rows[-1] + 1
-        c0, c1 = cols[0], cols[-1] + 1
-        sub_mask = d.mask[r0:r1, c0:c1]
+        x, y = g.cell_centers()
+        in_x = (x[0] >= xmin) & (x[0] <= xmax)
+        in_y = (y[:, 0] >= ymin) & (y[:, 0] <= ymax)
+        wanted = in_y[:, None] & in_x
     else:
         wanted = np.isin(d.gridcell_id, np.asarray(ids, dtype=np.int64))
-        if not wanted.any():
-            raise ValueError("selector does not intersect the domain")
-        rows = np.flatnonzero(wanted.any(axis=1))
-        cols = np.flatnonzero(wanted.any(axis=0))
-        r0, r1 = rows[0], rows[-1] + 1
-        c0, c1 = cols[0], cols[-1] + 1
-        sub_mask = (d.mask & wanted)[r0:r1, c0:c1]
+    if not wanted.any():
+        raise ValueError("selector does not intersect the domain")
+    rows = np.flatnonzero(wanted.any(axis=1))
+    cols = np.flatnonzero(wanted.any(axis=0))
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    c0, c1 = int(cols[0]), int(cols[-1]) + 1
+    window = np.s_[r0:r1, c0:c1]
     sub_grid = Grid2D(
-        n_rows=int(r1 - r0),
-        n_cols=int(c1 - c0),
+        n_rows=r1 - r0,
+        n_cols=c1 - c0,
         cell_size=g.cell_size,
         origin_x=g.origin_x + c0 * g.cell_size,
         origin_y=g.origin_y + r0 * g.cell_size,
@@ -287,18 +266,13 @@ def subset(d: DomainSpec, bbox=None, ids=None) -> DomainSpec:
     )
     out = DomainSpec(
         sub_grid,
-        sub_mask,
-        gridcell_id=d.gridcell_id[r0:r1, c0:c1],
+        d.mask[window] & wanted[window],
+        gridcell_id=d.gridcell_id[window],
         id_space=d.id_space,
         n_copies=d.n_copies,
     )
     # Slice parent geolocation so subset coordinates match it bit-for-bit.
-    out._set_coords(
-        d.xc[r0:r1, c0:c1],
-        d.yc[r0:r1, c0:c1],
-        d.xv[:, r0:r1, c0:c1],
-        d.yv[:, r0:r1, c0:c1],
-    )
+    out._coords = (d.xc[window], d.yc[window], d.xv[:, r0:r1, c0:c1], d.yv[:, r0:r1, c0:c1])
     return out
 
 
@@ -342,13 +316,7 @@ def census(base: SubgridCensus, k: int) -> SubgridCensus:
     """Subgrid totals of a k-fold replicated domain."""
     if k < 1:
         raise ValueError("replication factor must be >= 1")
-    return SubgridCensus(
-        gridcells=base.gridcells * k,
-        topounits=base.topounits * k,
-        landunits=base.landunits * k,
-        columns=base.columns * k,
-        pfts=base.pfts * k,
-    )
+    return SubgridCensus(**{name: n * k for name, n in asdict(base).items()})
 
 
 def synth_mask(n_rows: int, n_cols: int, land_fraction: float, seed: int) -> np.ndarray:
@@ -367,9 +335,9 @@ def synth_mask(n_rows: int, n_cols: int, land_fraction: float, seed: int) -> np.
 ID_CONVENTION = "0-based row-major"
 
 
-def domain_file_model(d: DomainSpec, variant: str = cdf.CDF5) -> cdf.CdfModel:
+def domain_file_model(d: DomainSpec) -> cdf.CdfModel:
     g = d.grid
-    model = cdf.CdfModel(variant=variant)
+    model = cdf.CdfModel()
     model.dims = [
         cdf.Dim("nj", g.n_rows),
         cdf.Dim("ni", g.n_cols),
@@ -409,8 +377,8 @@ def domain_file_model(d: DomainSpec, variant: str = cdf.CDF5) -> cdf.CdfModel:
     return model
 
 
-def write_domain(d: DomainSpec, path: str, variant: str = cdf.CDF5) -> None:
-    model = domain_file_model(d, variant)
+def write_domain(d: DomainSpec, path: str) -> None:
+    model = domain_file_model(d)
     data = {
         "mask": d.mask.astype(np.int32),
         "frac": d.frac,
@@ -467,5 +435,5 @@ def read_domain(path: str) -> DomainSpec:
             id_space=id_space,
             n_copies=n_copies,
         )
-        d._set_coords(f.read("xc"), f.read("yc"), f.read("xv"), f.read("yv"))
+        d._coords = (f.read("xc"), f.read("yc"), f.read("xv"), f.read("yv"))
     return d

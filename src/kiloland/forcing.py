@@ -288,8 +288,8 @@ def forcing_filename(year: int, month: int) -> str:
     return f"forcing_met_{year:04d}-{month:02d}.nc"
 
 
-def forcing_file_model(n_land: int, variant: str = cdf.CDF5) -> cdf.CdfModel:
-    model = cdf.CdfModel(variant=variant)
+def forcing_file_model(n_land: int) -> cdf.CdfModel:
+    model = cdf.CdfModel()
     model.dims = [cdf.Dim("time", 0, unlimited=True), cdf.Dim("gridcell", n_land)]
     model.vars.append(
         cdf.Var("time", cdf.NcType.FLOAT64, ("time",), {"units": "hours since period start"})
@@ -310,9 +310,9 @@ def forcing_file_model(n_land: int, variant: str = cdf.CDF5) -> cdf.CdfModel:
     return model
 
 
-def write_forcing_month(fm: ForcingMonth, path: str, variant: str = cdf.CDF5) -> None:
+def write_forcing_month(fm: ForcingMonth, path: str) -> None:
     n_land = next(iter(fm.values.values())).shape[1]
-    model = forcing_file_model(n_land, variant)
+    model = forcing_file_model(n_land)
     model.gattrs = {"title": "kiloland forcing", "year": fm.year, "month": fm.month}
     data = {"time": fm.time_axis}
     data.update(fm.values)

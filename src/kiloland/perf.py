@@ -239,6 +239,11 @@ class CostModel:
     c_cell: float = 0.0  # seconds per cell-step
     c_sync: float = 0.0  # seconds per step per log2(P)
 
+    def __post_init__(self):
+        for name in ("c_cell", "c_sync"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, not {getattr(self, name)}")
+
     def calibrated(self) -> bool:
         return self.c_cell > 0
 
@@ -251,6 +256,8 @@ class CostModel:
 
     def calibrate(self, run_seconds: float, n_cells: int, n_steps: int, n_cores: int) -> None:
         self._check(n_cells, n_steps, n_cores)
+        if not run_seconds > 0:
+            raise ValueError(f"calibration run time must be positive, not {run_seconds}")
         sync = self.c_sync * n_steps * math.log2(max(n_cores, 2))
         self.c_cell = max(run_seconds - sync, 0.0) * n_cores / (n_cells * n_steps)
 
@@ -382,6 +389,8 @@ def run_scaling_suite(
 
     if mode not in ("strong", "weak"):
         raise ValueError("mode must be 'strong' or 'weak'")
+    if len(set(worker_counts)) != len(worker_counts):
+        raise ValueError(f"worker counts {worker_counts} repeat a count")
     machine_cores = os.cpu_count() or 1
     over = [w for w in worker_counts if w > machine_cores]
     if over:

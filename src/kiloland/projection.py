@@ -8,6 +8,7 @@ to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,14 +146,7 @@ class _Cone:
         return base / corr
 
 
-_CONE_CACHE: dict = {}
-
-
-def _cone(params: LccParams) -> _Cone:
-    cone = _CONE_CACHE.get(params)
-    if cone is None:
-        cone = _CONE_CACHE[params] = _Cone(params)
-    return cone
+_cone = functools.cache(_Cone)
 
 
 def lcc_forward(lat, lon, params: LccParams):

@@ -262,6 +262,10 @@ class CaseConfig:
             )
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if self.n_aggregators < 1:
+            raise ValueError("n_aggregators must be >= 1")
+        if self.buffer_limit < 1:
+            raise ValueError("buffer_limit must be >= 1")
 
     @property
     def steps_per_day(self) -> int:
@@ -653,7 +657,6 @@ class _Run:
             # Every output variable is one value per gridcell, so the
             # decomposition and one aggregator plan serve every write.
             self.plan = make_plan(self.n_land, cfg.n_aggregators, cfg.buffer_limit)
-            self.plan.validate(self.n_land)
             # A resumed run reads no surface data, but still checks its cells.
             with cdf.read_file(cfg.surface) as f:
                 n_cols = f.model.dim("gridcell").length
@@ -713,8 +716,8 @@ class _Run:
         self.total_steps = cfg.n_days * cfg.steps_per_day
 
     def _load_restart(self, entries, extra_days):
-        """Continue the run from the bundle for `extra_days` (None: the
-        case's `n_days`); a missing field or a bad checksum is a CdfError."""
+        """Continue the run from the bundle for `extra_days`; a missing field
+        or a bad checksum is a CdfError."""
         cfg = self.cfg
         rdir = entries["dir"]
         self._build_ranks()
@@ -739,8 +742,7 @@ class _Run:
         except KeyError as e:
             raise cdf.CdfError(f"restart bundle in {rdir} lacks {e}") from None
         done_days = self.start_step // cfg.steps_per_day
-        days = extra_days if extra_days is not None else cfg.n_days
-        self.total_steps = (done_days + days) * cfg.steps_per_day
+        self.total_steps = (done_days + extra_days) * cfg.steps_per_day
 
     # -- main loop -----------------------------------------------------------
 
@@ -813,7 +815,6 @@ class _Run:
         cfg = self.cfg
         name = f"{cfg.name}.{kind}.{_date_tag(cfg.start, step * cfg.dt_hours)}.nc"
         model = cdf.CdfModel(
-            variant=cdf.CDF5,
             dims=dims,
             gattrs={**self._file_gattrs(step), **gattrs},
             vars=[cdf.Var(v, t, d, a) for v, t, d, a, _ in variables],

@@ -191,12 +191,10 @@ def _nearest_chunk(grid, phi, lam, lat, lon) -> np.ndarray:
     return out
 
 
-def interp_nearest(src: CoarseGrid, lat, lon, idx=None) -> dict:
+def interp_nearest(src: CoarseGrid, lat, lon) -> dict:
     """Nearest-neighbor sampling of every source variable at the targets;
-    leading dims are carried through unchanged. `idx` reuses the
-    `nearest_indices` of the same grid and targets."""
-    if idx is None:
-        idx = nearest_indices(src, lat, lon)
+    leading dims are carried through unchanged."""
+    idx = nearest_indices(src, lat, lon)
     out = {}
     for name, v in src.values.items():
         v = np.asarray(v)
@@ -285,12 +283,10 @@ def build_surface(d: DomainSpec, src: CoarseGrid, methods: dict) -> SurfaceDatas
     renormalized to sum to 100 per cell (cells with an all-zero column get
     100% of PFT 0), and MONTHLY_LAI is clamped nonnegative.
     """
-    lat = compact(d.yc, d)
-    lon = compact(d.xc, d)
-    out = {}
-    used = {}
-    idx = None  # nearest indices, shared by every "nearest" variable
-    for name in src.values:
+    # One call per method: nearest searches the source once and bilinear
+    # computes its weights once, for every variable the method serves.
+    served = {}
+    for name, v in src.values.items():
         method = methods.get(name)
         if method is None:
             raise ValueError(f"no interpolation method given for {name}")
@@ -300,14 +296,15 @@ def build_surface(d: DomainSpec, src: CoarseGrid, methods: dict) -> SurfaceDatas
             )
         if method not in _METHODS:
             raise ValueError(f"unknown interpolation method {method!r} for {name}")
-        one = CoarseGrid(src.lat, src.lon, {name: src.values[name]})
-        if method == "nearest":
-            if idx is None:
-                idx = nearest_indices(src, lat, lon)
-            out[name] = interp_nearest(one, lat, lon, idx)[name]
-        else:
-            out[name] = _METHODS[method](one, lat, lon)[name]
-        used[name] = "bilinear" if method == "linear" else method
+        served.setdefault(_METHODS[method], {})[name] = v
+    lat = compact(d.yc, d)
+    lon = compact(d.xc, d)
+    got = {}
+    for interp, values in served.items():
+        got.update(interp(CoarseGrid(src.lat, src.lon, values), lat, lon))
+    out = {name: got[name] for name in src.values}
+    used = {name: "bilinear" if methods[name] == "linear" else methods[name]
+            for name in src.values}
     # Every array in `out` was gathered or computed here, so it is clamped
     # in place; an integer one widens to float64 first, as np.clip would.
     for name, v in out.items():
@@ -340,6 +337,8 @@ def synth_coarse_source(
     surface variables plus `n_extra` generic ones."""
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, not {spacing}")
+    if n_extra < 0:
+        raise ValueError(f"n_extra must be >= 0, not {n_extra}")
     rng = np.random.default_rng([seed, 0x5F])
     lat = np.arange(lat_range[0], lat_range[1] + spacing / 2, spacing)
     # A padded range may pass a pole: the rows beyond it become the pole.
@@ -377,8 +376,8 @@ _DIMS_BY_SHAPE = {
 }
 
 
-def write_surface(ds: SurfaceDataset, path: str, variant: str = cdf.CDF5) -> None:
-    model = cdf.CdfModel(variant=variant)
+def write_surface(ds: SurfaceDataset, path: str) -> None:
+    model = cdf.CdfModel()
     model.dims = [
         cdf.Dim("gridcell", ds.n_land),
         cdf.Dim("layer", SOIL_LAYERS),

@@ -100,7 +100,7 @@ def setup_memory(cfg, out_dir, monkeypatch, resume_dir=None) -> tuple:
     workers = None
     try:
         run = simulation._Run(cfg, out_dir)
-        run.setup(resume_entries=entries)
+        run.setup(resume_entries=entries, extra_days=1)
         workers = simulation._RankWorkers(run.ranks, cfg.dt_hours, cfg.params, run.forcing)
         retained, peak = tracemalloc.get_traced_memory()
     finally:

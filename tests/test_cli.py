@@ -162,6 +162,7 @@ class TestBadToolValues:
         (("gen-forcing", "--months", "-2"), "no months to generate"),
         (("gen-surface", "--spacing", "0"), "spacing must be positive, not 0.0"),
         (("gen-surface", "--spacing", "-0.5"), "spacing must be positive, not -0.5"),
+        (("gen-surface", "--extra-vars", "-1"), "n_extra must be >= 0, not -1"),
     ])
     def test_generator_rejects(self, tmp_path, capsys, argv, want):
         out = str(tmp_path)
@@ -406,6 +407,15 @@ class TestBenchPredictReport:
 
     def test_predict_uncalibrated_fails(self, capsys):
         assert run_cli("predict", "--cells", "10", "--cores", "1") == 1
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--calibrate-seconds", "-5"], "calibration run time must be positive, not -5.0"),
+        (["--c-cell", "1e-9", "--c-sync=-1"], "c_sync must be >= 0, not -1.0"),
+        (["--c-cell=-1e-9"], "c_cell must be >= 0, not -1e-09"),
+    ])
+    def test_predict_negative_value_named(self, capsys, argv, want):
+        assert run_cli("predict", "--cells", "10", "--cores", "1,2", *argv) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
 
     @pytest.mark.parametrize("argv", [
         ["--cells", "0", "--cores", "1,2", "--calibrate-seconds", "5"],

@@ -218,10 +218,17 @@ class TestPlan:
         assert plan.ranges == [(0, 1), (1, 2)]
 
     def test_validation(self):
-        plan = make_plan(10, 2)
-        plan.validate(10)
-        with pytest.raises(ValueError, match="cover"):
-            plan.validate(11)
+        plan = make_plan(11, 2)
+        model = cdf.CdfModel(dims=[cdf.Dim("gridcell", 10)])
+        model.vars.append(cdf.Var("v", cdf.NcType.FLOAT64, ("gridcell",)))
+        writer = cdf.CdfWriter(io.BytesIO(), model)
+        part = partition(10, 2, BLOCK)
+        with pytest.raises(ValueError, match="cover 11 of 10"):
+            rearrange_write([np.zeros(5), np.zeros(5)], part, plan, writer, "v")
+
+    def test_plan_rejects_a_buffer_limit_below_one(self):
+        with pytest.raises(ValueError, match="buffer_limit must be positive"):
+            make_plan(10, 2, 0)
 
 
 def write_pair(n_cells, p, n_agg, buffer_limit, scheme, rng, record_var=False):

@@ -201,6 +201,32 @@ class TestSubset:
         with pytest.raises(ValueError, match="intersect"):
             subset(aksp_mini, bbox=(1e12, 1e12, 2e12, 2e12))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        box=st.lists(st.floats(-3.0, 12.0), min_size=4, max_size=4),
+    )
+    def test_bbox_equals_ids_of_the_cells_inside(self, seed, box):
+        """A bbox selects what the id list of the cells whose centers lie in
+        it selects, and both miss the domain alike."""
+        g = Grid2D(8, 10, cell_size=1000.0, origin_x=-40_000.0, origin_y=25_000.0)
+        d = build_domain(g, synth_mask(8, 10, 0.6, seed))
+        bbox = (g.origin_x + box[0] * g.cell_size, g.origin_y + box[1] * g.cell_size,
+                g.origin_x + box[2] * g.cell_size, g.origin_y + box[3] * g.cell_size)
+        x, y = g.cell_centers()
+        inside = (x >= bbox[0]) & (x <= bbox[2]) & (y >= bbox[1]) & (y <= bbox[3])
+        ids = d.gridcell_id[inside]
+        if ids.size == 0:
+            for selector in ({"bbox": bbox}, {"ids": ids}):
+                with pytest.raises(ValueError, match="^selector does not intersect the domain$"):
+                    subset(d, **selector)
+            return
+        by_box, by_ids = subset(d, bbox=bbox), subset(d, ids=ids)
+        assert by_box.grid == by_ids.grid
+        for name in ("mask", "gridcell_id", "xc", "yc", "xv", "yv"):
+            a, b = getattr(by_box, name), getattr(by_ids, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
 
 class TestReplicate:
     def test_aksp_times_300_matches_paper(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kiloland import cdf
 from kiloland.domain import compact
 from kiloland.forcing import (
     ForcingMonth,
@@ -17,6 +18,7 @@ from kiloland.forcing import (
     VARIABLES,
     downscale_day,
     downscale_month,
+    forcing_file_model,
     forcing_files,
     gen_forcing_files,
     month_offset_hours,
@@ -349,7 +351,10 @@ class TestFiles:
         (y, m, daily, prof) = synth_forcing(3, aksp_mini, [(2014, 2)])[0]
         fm = downscale_month(daily, prof, aksp_mini, y, m)
         path = str(tmp_path / "f2.nc")
-        write_forcing_month(fm, path, variant="CDF2")
+        model = forcing_file_model(aksp_mini.n_land)
+        model.variant = cdf.CDF2
+        with open(path, "wb") as fh:
+            cdf.write_file(fh, model, {"time": fm.time_axis, **fm.values}, numrecs=fm.n_steps)
         with scipy_io.netcdf_file(path, "r", mmap=False) as nc:
             assert nc.dimensions["gridcell"] == aksp_mini.n_land
             np.testing.assert_array_equal(nc.variables["TBOT"][:], fm.values["TBOT"])

@@ -212,6 +212,18 @@ class TestPredictor:
         with pytest.raises(ValueError, match="not calibrated"):
             predict_times(CostModel(), 100, 10, [1, 2], sim_days=5)
 
+    @pytest.mark.parametrize("field", ["c_cell", "c_sync"])
+    def test_negative_coefficient_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, not -1.0$"):
+            CostModel(**{field: -1.0})
+
+    @pytest.mark.parametrize("seconds", [0.0, -5.0])
+    def test_calibration_needs_a_positive_run_time(self, seconds):
+        m = CostModel(c_sync=1e-5)
+        with pytest.raises(ValueError, match=f"positive, not {seconds}$"):
+            m.calibrate(run_seconds=seconds, n_cells=100, n_steps=10, n_cores=1)
+        assert m.c_cell == 0.0
+
     def test_calibration_and_trend(self):
         m = CostModel(c_sync=1.2e-5)
         m.calibrate(run_seconds=10.0, n_cells=100_000, n_steps=120, n_cores=1)
@@ -322,6 +334,19 @@ class TestMeasuredSuite:
         lnd = result["tables"]["LND"]
         assert lnd.records[0].cells_per_core == 613
         assert lnd.records[1].cells_per_core == 613
+
+    def test_repeated_worker_counts_rejected_before_any_run(self, mini_inputs, tmp_path,
+                                                            monkeypatch):
+        from kiloland import simulation
+
+        runs = []
+        monkeypatch.setattr(simulation, "run_case", lambda cfg, out_dir: runs.append(out_dir))
+        cfg = make_case_config(mini_inputs, n_days=1)
+        out = tmp_path / "suite"
+        with pytest.raises(ValueError, match=r"worker counts \[1, 1\] repeat a count"):
+            run_scaling_suite(cfg, [1, 1], mode="strong", out_dir=str(out))
+        assert runs == []
+        assert not out.exists()
 
     def test_oversubscription_rejected(self, mini_inputs, tmp_path):
         cfg = make_case_config(mini_inputs, n_days=1)

@@ -413,6 +413,8 @@ class TestCaseConfig:
         ("lnd.block_size = 0", "block_size must be >= 1"),
         ("case.n_days = 0", "n_days must be >= 1"),
         ("case.restart_interval = every:0d", "bad restart_interval"),
+        ("io.n_aggregators = 0", "n_aggregators must be >= 1"),
+        ("io.buffer_limit = 0", "buffer_limit must be >= 1"),
     ])
     def test_rejected_value_names_file_line_and_key(self, tmp_path, line, want):
         path = tmp_path / "bad.cfg"
@@ -636,8 +638,8 @@ class TestRunCase:
 
         opened = []
         monkeypatch.setattr(ForcingStream, "open", lambda *a, **k: opened.append(a))
-        cfg = make_case_config(mini_inputs, n_days=2, **{key: 0})
         with pytest.raises(ValueError):
+            cfg = make_case_config(mini_inputs, n_days=2, **{key: 0})
             run_case(cfg, str(tmp_path / "bad"))
         assert opened == []
 

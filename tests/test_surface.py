@@ -358,6 +358,39 @@ class TestBuildSurface:
         for name, v in want.items():
             assert np.array_equal(ds.values[name], v), name
 
+    def test_each_method_runs_once_and_matches_one_variable_grids(self, aksp_mini,
+                                                                  monkeypatch):
+        import kiloland.surface as surface
+
+        src = coarse_for(aksp_mini, n_extra=2)
+        cycle = ("nearest", "bilinear")
+        methods = {name: cycle[i % 2] for i, name in enumerate(src.values)}
+        calls = []
+        for method, interp in list(surface._METHODS.items()):
+            def counting(grid, lat, lon, interp=interp):
+                calls.append(interp.__name__)
+                return interp(grid, lat, lon)
+            monkeypatch.setitem(surface._METHODS, method, counting)
+        ds = build_surface(aksp_mini, src, methods)
+        assert sorted(calls) == ["interp_bilinear", "interp_nearest"]
+        assert list(ds.values) == list(src.values)
+        assert list(ds.methods) == list(src.values)
+        lat, lon = compact(aksp_mini.yc, aksp_mini), compact(aksp_mini.xc, aksp_mini)
+        for name, method in methods.items():
+            one = CoarseGrid(src.lat, src.lon, {name: src.values[name]})
+            interp = interp_nearest if method == "nearest" else interp_bilinear
+            want = interp(one, lat, lon)[name]
+            if name.startswith("PCT_"):
+                want = np.clip(want, 0.0, 100.0)
+            if name == "PCT_PFT":
+                want = want * (100.0 / want.sum(axis=0))
+            if name == "FMAX":
+                want = np.clip(want, 0.0, 1.0)
+            if name == "MONTHLY_LAI":
+                want = np.maximum(want, 0.0)
+            assert ds.values[name].tobytes() == want.tobytes(), name
+            assert ds.methods[name] == method
+
     def test_nearest_piecewise_constant(self, aksp_mini):
         src = coarse_for(aksp_mini)
         ds = build_surface(aksp_mini, src, all_nearest(src))
