@@ -126,12 +126,6 @@ class CdfModel:
                 return v
         raise KeyError(name)
 
-    def record_dim(self):
-        for d in self.dims:
-            if d.unlimited:
-                return d
-        return None
-
     def var_shape(self, v: Var, numrecs: int) -> tuple:
         return tuple(
             numrecs if self.dim(n).unlimited else self.dim(n).length for n in v.dims
@@ -479,7 +473,7 @@ def write_file(target, model: CdfModel, data: dict, numrecs=None):
     the record dimension first). `target` is an open binary file; when it
     is None the encoded bytes are returned instead.
     """
-    rec_vars = [v for v in model.vars if v.dims and model.dim(v.dims[0]).unlimited]
+    rec_vars = [v for v in model.vars if _is_record(model, v)]
     if numrecs is None:
         numrecs = len(np.asarray(data[rec_vars[0].name])) if rec_vars else 0
     buf = io.BytesIO() if target is None else target
@@ -624,14 +618,11 @@ class CdfFile:
         for v in model.vars:
             if v.begin < self._header_len:
                 raise CdfError(f"variable {v.name}: begin offset overlaps the header")
-        # Record dims report the live record count.
-        rec = model.record_dim()
-        if rec is not None:
-            rec.length = self.numrecs
+        for d in model.dims:
+            if d.unlimited:  # a record dim reports the live record count
+                d.length = self.numrecs
         self.model = model
-        self._record_size = sum(
-            v.vsize for v in model.vars if _is_record(model, v)
-        )
+        self._record_size = sum(v.vsize for v in model.vars if _is_record(model, v))
 
     def shape(self, name: str) -> tuple:
         return self.model.var_shape(self.model.var(name), self.numrecs)

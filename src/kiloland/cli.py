@@ -25,8 +25,9 @@ def _out_dir(args) -> str:
 
 
 # Namespace entries that do not shape an artifact: the handler (its repr
-# carries a memory address), the log level and the output directories.
-_UNHASHED_ARGS = ("func", "log_level", "out", "g_out")
+# carries a memory address), the log level, the output directory, and the
+# case config and worker count, which only run, resume and bench read.
+_UNHASHED_ARGS = ("func", "log_level", "out", "case", "workers")
 
 
 def _provenance(out_dir: str, name: str, args) -> None:
@@ -63,7 +64,7 @@ def cmd_gen_forcing(args) -> int:
 
     out = _out_dir(args)
     d = read_domain(args.domain)
-    year, month = (int(s) for s in args.start_month.split("-"))
+    year, month = args.start_month
     months = []
     for _ in range(args.months):
         months.append((year, month))
@@ -107,13 +108,7 @@ def cmd_subset(args) -> int:
     d = read_domain(args.domain)
     if (args.bbox is None) == (args.ids is None):
         raise ValueError("give exactly one of --bbox or --ids")
-    if args.bbox is not None:
-        vals = [float(s) for s in args.bbox.split(",")]
-        if len(vals) != 4:
-            raise ValueError("--bbox needs xmin,ymin,xmax,ymax")
-        s = subset(d, bbox=tuple(vals))
-    else:
-        s = subset(d, ids=[int(x) for x in args.ids.split(",")])
+    s = subset(d, bbox=args.bbox) if args.bbox is not None else subset(d, ids=args.ids)
     path = os.path.join(out, args.name)
     write_domain(s, path)
     _provenance(out, args.name, args)
@@ -190,8 +185,7 @@ def cmd_bench(args) -> int:
 
     cfg = CaseConfig.from_file(args.case)
     out = _out_dir(args)
-    workers = [int(w) for w in args.workers.split(",")]
-    result = run_scaling_suite(cfg, workers, mode=args.mode, out_dir=out)
+    result = run_scaling_suite(cfg, args.workers, mode=args.mode, out_dir=out)
     print(f"csv: {result['csv']}")
     print(f"svg: {result['svg']}")
     lnd = result["tables"]["LND"]
@@ -211,9 +205,8 @@ def cmd_predict(args) -> int:
         model.calibrate(
             args.calibrate_seconds, args.cells, args.steps, args.calibrate_cores
         )
-    cores = [int(c) for c in args.cores.split(",")]
     table = predict_times(
-        model, args.cells, args.steps, cores, sim_days=args.steps / 24.0
+        model, args.cells, args.steps, args.cores, sim_days=args.steps / 24.0
     )
     sys.stdout.write(scaling_csv(table))
     return 0
@@ -273,6 +266,36 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _ints(text: str) -> list:
+    """`--ids`, `--cores` and `bench --workers`: comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
+def _bbox(text: str) -> tuple:
+    """`--bbox`: exactly four comma-separated numbers."""
+    try:
+        box = tuple(float(s) for s in text.split(","))
+    except ValueError:
+        box = ()
+    if len(box) != 4:
+        raise argparse.ArgumentTypeError(f"not four numbers xmin,ymin,xmax,ymax: {text!r}")
+    return box
+
+
+def _month(text: str) -> tuple:
+    """`--start-month`: YYYY-MM with a month of 1 to 12, as (year, month)."""
+    try:
+        year, month = (int(s) for s in text.split("-"))
+    except ValueError:
+        month = 0
+    if not 1 <= month <= 12:
+        raise argparse.ArgumentTypeError(f"not a YYYY-MM month: {text!r}")
+    return year, month
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kiloland",
@@ -282,18 +305,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"])
-    # Global defaults; an option repeated on a subcommand takes precedence.
-    parser.add_argument("--config", dest="g_config", default=None,
+    # Global settings, one slot each. A command's own copy of one writes the
+    # same slot and defaults to SUPPRESS, so it wins only when given.
+    settings = {
+        "--case": {"help": "case config file (or global --config)"},
+        "--seed": {"type": int},
+        "--out": {"help": "output directory (or $KILOLAND_OUT)"},
+        "--workers": {"type": int},
+    }
+    parser.add_argument("--config", dest="case", default=None,
                         help="case config file (default for run/resume/bench)")
-    parser.add_argument("--seed", dest="g_seed", type=int, default=None)
-    parser.add_argument("--out", dest="g_out", default=None)
-    parser.add_argument("--workers", dest="g_workers", type=int, default=None)
+    for flag, default in (("--seed", 7), ("--out", None), ("--workers", None)):
+        parser.add_argument(flag, default=default, **settings[flag])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
-        p.add_argument("--out", default=None, help="output directory (or $KILOLAND_OUT)")
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
+    def local(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, default=argparse.SUPPRESS, **settings[flag])
 
     p = sub.add_parser("make-domain", help="synthesize a projected domain file")
     p.add_argument("--rows", type=int, required=True)
@@ -303,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-lat", type=float, default=64.5)
     p.add_argument("--center-lon", type=float, default=-165.0)
     p.add_argument("--name", default="domain.nc")
-    common(p)
+    local(p, "--out", "--seed")
     p.set_defaults(func=cmd_make_domain)
 
     p = sub.add_parser("gen-forcing", help="synthesize monthly forcing files")
     p.add_argument("--domain", required=True)
-    p.add_argument("--start-month", default="2014-01", help="YYYY-MM")
+    p.add_argument("--start-month", type=_month, default="2014-01", help="YYYY-MM")
     p.add_argument("--months", type=int, default=1)
-    common(p)
+    local(p, "--out", "--seed")
     p.set_defaults(func=cmd_gen_forcing)
 
     p = sub.add_parser("gen-surface", help="interpolate surface properties")
@@ -320,36 +348,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", type=float, default=0.5)
     p.add_argument("--extra-vars", type=int, default=0)
     p.add_argument("--name", default="surface.nc")
-    common(p)
+    local(p, "--out", "--seed")
     p.set_defaults(func=cmd_gen_surface)
 
     p = sub.add_parser("subset", help="cut a domain by bbox or id list")
     p.add_argument("--domain", required=True)
-    p.add_argument("--bbox", default=None, help="xmin,ymin,xmax,ymax (projected m)")
-    p.add_argument("--ids", default=None, help="comma-separated gridcell ids")
+    p.add_argument("--bbox", type=_bbox, default=None,
+                   help="xmin,ymin,xmax,ymax (projected m)")
+    p.add_argument("--ids", type=_ints, default=None, help="comma-separated gridcell ids")
     p.add_argument("--name", default="subset.nc")
-    common(p)
+    local(p, "--out", "--seed")
     p.set_defaults(func=cmd_subset)
 
     p = sub.add_parser("replicate", help="stack k copies of a domain")
     p.add_argument("--domain", required=True)
     p.add_argument("--factor", type=int, required=True)
     p.add_argument("--name", default="replicated.nc")
-    common(p)
+    local(p, "--out", "--seed")
     p.set_defaults(func=cmd_replicate)
 
     p = sub.add_parser("run", help="run a case")
-    p.add_argument("--case", default=None, help="case config file (or global --config)")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default=None)
+    local(p, "--case", "--workers", "--out")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("resume", help="continue a case from its restart")
-    p.add_argument("--case", default=None)
     p.add_argument("--extra-days", type=int, required=True)
     p.add_argument("--restart-dir", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default=None)
+    local(p, "--case", "--workers", "--out")
     p.set_defaults(func=cmd_resume)
 
     p = sub.add_parser("compare", help="element-wise comparison of two files")
@@ -363,16 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="strong/weak scaling suite")
-    p.add_argument("--case", default=None)
     p.add_argument("--mode", required=True, choices=["strong", "weak"])
-    p.add_argument("--workers", default="1,2")
-    common(p)
+    # A list with its own default: a global --workers does not reach the suite.
+    p.add_argument("--workers", type=_ints, default="1,2")
+    local(p, "--case", "--out", "--seed")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("predict", help="cost-model extrapolation (labeled 'model')")
     p.add_argument("--cells", type=int, required=True)
     p.add_argument("--steps", type=int, default=120)
-    p.add_argument("--cores", required=True, help="comma-separated core counts")
+    p.add_argument("--cores", type=_ints, required=True, help="comma-separated core counts")
     p.add_argument("--c-cell", type=float, default=0.0)
     p.add_argument("--c-sync", type=float, default=0.0)
     p.add_argument("--calibrate-seconds", type=float, default=0.0)
@@ -385,35 +410,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render scaling CSV into SVG charts")
     p.add_argument("--csv", required=True)
-    p.add_argument("--out", default=None)
+    local(p, "--out")
     p.set_defaults(func=cmd_report)
 
     return parser
 
 
-def _apply_global_defaults(args) -> str | None:
-    """Fold global --config/--seed/--out/--workers into subcommand slots."""
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = args.g_seed if args.g_seed is not None else 7
-    if getattr(args, "out", None) is None and hasattr(args, "out"):
-        args.out = args.g_out
-    if hasattr(args, "case") and args.case is None:
-        args.case = args.g_config
-        if args.case is None:
-            return f"{args.command}: a case config is required (--case or --config)"
-    if hasattr(args, "workers") and args.command in ("run", "resume"):
-        if args.workers is None:
-            args.workers = args.g_workers
-    return None
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(level=args.log_level.upper())
-    usage_problem = _apply_global_defaults(args)
-    if usage_problem:
-        print(f"usage error: {usage_problem}", file=sys.stderr)
+    if args.command in ("run", "resume", "bench") and args.case is None:
+        print(f"usage error: {args.command}: a case config is required (--case or --config)",
+              file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -63,20 +63,19 @@ NEAREST = "nearest"
 
 @dataclass(frozen=True)
 class ForcingVariableSpec:
-    name: str
     units: str
     downscale_mode: str
     interp_mode: str
 
 
 VARIABLES = {
-    "TBOT": ForcingVariableSpec("TBOT", "K", ADDITIVE, LINEAR),
-    "PRECT": ForcingVariableSpec("PRECT", "mm/3h", SUM_PRESERVING, NEAREST),
-    "FSDS": ForcingVariableSpec("FSDS", "W/m^2", MULTIPLICATIVE, LINEAR),
-    "FLDS": ForcingVariableSpec("FLDS", "W/m^2", MULTIPLICATIVE, LINEAR),
-    "QBOT": ForcingVariableSpec("QBOT", "kg/kg", MULTIPLICATIVE, LINEAR),
-    "WIND": ForcingVariableSpec("WIND", "m/s", MULTIPLICATIVE, LINEAR),
-    "PSRF": ForcingVariableSpec("PSRF", "Pa", ADDITIVE, LINEAR),
+    "TBOT": ForcingVariableSpec("K", ADDITIVE, LINEAR),
+    "PRECT": ForcingVariableSpec("mm/3h", SUM_PRESERVING, NEAREST),
+    "FSDS": ForcingVariableSpec("W/m^2", MULTIPLICATIVE, LINEAR),
+    "FLDS": ForcingVariableSpec("W/m^2", MULTIPLICATIVE, LINEAR),
+    "QBOT": ForcingVariableSpec("kg/kg", MULTIPLICATIVE, LINEAR),
+    "WIND": ForcingVariableSpec("m/s", MULTIPLICATIVE, LINEAR),
+    "PSRF": ForcingVariableSpec("Pa", ADDITIVE, LINEAR),
 }
 
 
@@ -146,9 +145,12 @@ def _spread_day(out, d, shape, mode: str, product) -> None:
 class ForcingMonth:
     year: int
     month: int
-    n_steps: int
     values: dict  # var -> (n_steps, n_land) float32
     time_axis: np.ndarray  # hours since the period start, record starts
+
+    @property
+    def n_steps(self) -> int:
+        return self.time_axis.size
 
     def __post_init__(self):
         if self.n_steps not in (224, 232, 240, 248):
@@ -201,7 +203,7 @@ def downscale_month(
             _spread_day(rows, land[day], prof[day][:, None], mode, product)
         values[name] = out
     time_axis = offset_hours + np.arange(n_days * STEPS_PER_DAY) * STEP_HOURS
-    return ForcingMonth(year, month, n_days * STEPS_PER_DAY, values, time_axis)
+    return ForcingMonth(year, month, values, time_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +327,7 @@ def read_forcing_month(path: str) -> ForcingMonth:
         start = month_start(f, path)
         values = {name: f.read(name) for name in VARIABLES}
         time_axis = f.read("time")
-        return ForcingMonth(start.year, start.month, f.numrecs, values, time_axis)
+        return ForcingMonth(start.year, start.month, values, time_axis)
 
 
 @dataclass(frozen=True)
@@ -441,7 +443,6 @@ class ForcingStream:
     def __init__(self, time_axis: np.ndarray, values: dict, window: tuple, names):
         self.time = np.asarray(time_axis, dtype=np.float64)
         self.values = values
-        self.n_cols = next(iter(values.values())).shape[1]
         self.window = (float(window[0]), float(window[1]))
         self.names = tuple(names)
         # Index in `time` of each variable's first stored record; a variable

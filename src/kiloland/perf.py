@@ -59,10 +59,10 @@ class TimerTree:
     def region(self, name: str) -> "_Pass":
         return _Pass(self.child(name))
 
-    def add(self, name: str, seconds: float, count: int = 1) -> None:
+    def add(self, name: str, seconds: float) -> None:
         node = self.child(name)
         node.seconds += seconds
-        node.count += count
+        node.count += 1
 
     def total(self, path: str) -> float:
         node = self
@@ -270,12 +270,12 @@ class CostModel:
 
 
 def predict_times(model: CostModel, n_cells: int, n_steps: int, core_counts: list,
-                  sim_days: float, case: str = "predicted") -> ScalingTable:
+                  sim_days: float) -> ScalingTable:
     if not model.calibrated():
         raise ValueError("cost model is not calibrated (run calibrate first)")
     records = [
         ScalingRecord(
-            case=case,
+            case="predicted",
             component="LND",
             n_cores=p,
             init_seconds=0.0,

@@ -53,8 +53,6 @@ class Ellipsoid:
 # Clarke 1866, used by the published worked example for this projection.
 CLARKE_1866 = Ellipsoid(semi_major_axis=6_378_206.4, inverse_flattening=294.9786982)
 
-WGS84 = Ellipsoid(semi_major_axis=6_378_137.0, inverse_flattening=298.257223563)
-
 
 @dataclass(frozen=True)
 class LccParams:
@@ -194,10 +192,8 @@ def lcc_inverse(x, y, params: LccParams):
     apex_lat = 90.0 if c.n > 0 else -90.0
     with np.errstate(divide="ignore"):
         t = (rho / (c.a * c.F)) ** (1.0 / c.n)
-    if c.e == 0.0:
-        phi = np.pi / 2.0 - 2.0 * np.arctan(t)
-    else:
-        phi = np.pi / 2.0 - 2.0 * np.arctan(t)
+    phi = np.pi / 2.0 - 2.0 * np.arctan(t)
+    if c.e != 0.0:
         for _ in range(12):
             es = c.e * np.sin(phi)
             phi_next = np.pi / 2.0 - 2.0 * np.arctan(

@@ -638,7 +638,7 @@ class _Run:
 
     # -- initialization ------------------------------------------------------
 
-    def setup(self, resume_entries=None, extra_days=None):
+    def setup(self, restart_dir=None, extra_days=None):
         cfg = self.cfg
         os.makedirs(self.out_dir, exist_ok=True)
         with self.timers.region("init"):
@@ -661,10 +661,10 @@ class _Run:
             with cdf.read_file(cfg.surface) as f:
                 n_cols = f.model.dim("gridcell").length
                 _check_columns(self.n_land, self.n_copies, n_cols, "surface")
-                if resume_entries is None:
+                if restart_dir is None:
                     self._fresh_state(f, n_cols)
                 else:
-                    self._load_restart(resume_entries, extra_days)
+                    self._load_restart(restart_dir, extra_days)
             # Forcing must cover the whole run.
             t_end = self.forcing.time[-1] + STEP_HOURS
             end_hours = self.total_steps * cfg.dt_hours
@@ -715,11 +715,12 @@ class _Run:
         self.start_step, self.count, self.window_start_hours = 0, 0, 0.0
         self.total_steps = cfg.n_days * cfg.steps_per_day
 
-    def _load_restart(self, entries, extra_days):
-        """Continue the run from the bundle for `extra_days`; a missing field
-        or a bad checksum is a CdfError."""
+    def _load_restart(self, rdir, extra_days):
+        """Continue the run from the bundle that `rdir`'s restart pointer
+        names, for `extra_days`; a missing field or a bad checksum is a
+        CdfError."""
         cfg = self.cfg
-        rdir = entries["dir"]
+        entries = _read_rpointer(os.path.join(rdir, f"rpointer.{cfg.name}"))
         self._build_ranks()
         try:
             with cdf.read_file(os.path.join(rdir, entries["elm_r"])) as f:
@@ -914,11 +915,11 @@ class _Run:
         write_provenance(self.out_dir, cfg.name, config, cfg.seed, cfg.fingerprint())
 
 
-def _simulate(cfg: CaseConfig, out_dir: str, resume_entries=None, extra_days=None) -> RunResult:
+def _simulate(cfg: CaseConfig, out_dir: str, restart_dir=None, extra_days=None) -> RunResult:
     """Set up and execute one run inside the root `run` timer region."""
     run = _Run(cfg, out_dir)
     with run.timers.timed():
-        run.setup(resume_entries=resume_entries, extra_days=extra_days)
+        run.setup(restart_dir=restart_dir, extra_days=extra_days)
         return run.execute()
 
 
@@ -939,9 +940,7 @@ def resume_case(cfg: CaseConfig, out_dir: str, extra_days: int, restart_dir: str
     rpointer = os.path.join(rdir, f"rpointer.{cfg.name}")
     if not os.path.exists(rpointer):
         raise FileNotFoundError(f"no restart pointer at {rpointer}")
-    entries = _read_rpointer(rpointer)
-    entries["dir"] = rdir
-    return _simulate(cfg, out_dir, resume_entries=entries, extra_days=extra_days)
+    return _simulate(cfg, out_dir, restart_dir=rdir, extra_days=extra_days)
 
 
 # ---------------------------------------------------------------------------

@@ -92,15 +92,11 @@ def setup_memory(cfg, out_dir, monkeypatch, resume_dir=None) -> tuple:
         return out
 
     monkeypatch.setattr(simulation, "_shared", counting)
-    entries = None
-    if resume_dir is not None:
-        entries = simulation._read_rpointer(os.path.join(resume_dir, f"rpointer.{cfg.name}"))
-        entries["dir"] = resume_dir
     tracemalloc.start()
     workers = None
     try:
         run = simulation._Run(cfg, out_dir)
-        run.setup(resume_entries=entries, extra_days=1)
+        run.setup(restart_dir=resume_dir, extra_days=1)
         workers = simulation._RankWorkers(run.ranks, cfg.dt_hours, cfg.params, run.forcing)
         retained, peak = tracemalloc.get_traced_memory()
     finally:

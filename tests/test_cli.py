@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kiloland import cdf
-from kiloland.cli import main
+from kiloland.cli import build_parser, main
 from kiloland.compare import files_bit_identical
 
 from conftest import drop_gattrs
@@ -179,6 +179,32 @@ class TestBadToolValues:
         assert capsys.readouterr().err == "error: k must be >= 1\n"
 
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("gen-forcing", "--start-month", "2014"), "--start-month"),
+        (("gen-forcing", "--start-month", "2014-13"), "--start-month"),
+        (("subset", "--ids", "1,x"), "--ids"),
+        (("subset", "--bbox", "1,2,x,4"), "--bbox"),
+        (("subset", "--bbox", "1,2,3"), "--bbox"),
+    ])
+    def test_malformed_tool_value_is_usage_error(self, tmp_path, capsys, argv, flag):
+        domain = make_domain(str(tmp_path))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--domain", domain, "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("predict", "--cells", "10", "--c-cell", "1e-9", "--cores", "1,x"), "--cores"),
+        (("bench", "--case", "case.cfg", "--mode", "strong", "--workers", "1,x"), "--workers"),
+    ])
+    def test_malformed_count_list_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+
 class TestRunAndCompare:
     def test_pipeline_run_then_compare_golden(self, pipeline, capsys):
         root, cfg, tmp_path = pipeline
@@ -319,6 +345,61 @@ class TestGlobalFlags:
                        "--out", b) == 0
         assert files_bit_identical(os.path.join(a, "domain.nc"),
                                    os.path.join(b, "domain.nc"))
+
+    def test_provenance_alike_wherever_a_setting_is_given(self, tmp_path, capsys):
+        """A setting given before or after the command lands in one slot,
+        and the hash covers only what shapes the domain."""
+        grid = ("make-domain", "--rows", "8", "--cols", "8")
+        dirs = [str(tmp_path / k) for k in "abcd"]
+        assert run_cli("--seed", "11", *grid, "--out", dirs[0]) == 0
+        assert run_cli(*grid, "--out", dirs[1], "--seed", "11") == 0
+        assert run_cli("--workers", "3", *grid, "--seed", "11", "--out", dirs[2]) == 0
+        assert run_cli("--out", dirs[3], "--seed", "11", *grid) == 0
+        texts = {open(os.path.join(d, "domain.nc.provenance.txt")).read() for d in dirs}
+        assert len(texts) == 1
+        assert "seed = 11\n" in texts.pop()
+
+    @pytest.mark.parametrize("glob, local, dest, command, default", [
+        ("--seed", "--seed", "seed", ("make-domain", "--rows", "4", "--cols", "4"), 7),
+        ("--out", "--out", "out", ("gen-surface", "--domain", "d.nc"), None),
+        ("--out", "--out", "out", ("report", "--csv", "s.csv"), None),
+        ("--workers", "--workers", "workers", ("run",), None),
+        ("--workers", "--workers", "workers", ("resume", "--extra-days", "1"), None),
+        ("--config", "--case", "case", ("bench", "--mode", "weak"), None),
+    ])
+    def test_a_command_flag_wins_over_the_global_one(self, glob, local, dest, command,
+                                                     default):
+        parse = build_parser().parse_args
+        assert getattr(parse(command), dest) == default
+        assert str(getattr(parse([glob, "5", *command]), dest)) == "5"
+        assert str(getattr(parse([glob, "5", *command, local, "6"]), dest)) == "6"
+
+    def test_settings_reach_the_run_and_bench_keeps_its_worker_list(
+            self, tmp_path, monkeypatch, capsys):
+        from kiloland import simulation
+        from kiloland.perf import TimerTree
+
+        runs = []
+
+        def recording(cfg, out_dir):
+            runs.append((cfg.name, cfg.lnd_workers, out_dir))
+            os.makedirs(out_dir, exist_ok=True)
+            timers = TimerTree()
+            for region in ("init", "atm", "cpl", "lnd"):
+                timers.add(region, 1.0)
+            return simulation.RunResult(out_dir, 4, [], [], "", timers)
+
+        monkeypatch.setattr(simulation, "run_case", recording)
+        g = write_cfg(str(tmp_path / "g.cfg"), str(tmp_path), name="g")
+        c = write_cfg(str(tmp_path / "c.cfg"), str(tmp_path), name="c")
+        go, co, bo = (str(tmp_path / k) for k in ("go", "co", "bo"))
+        settings = ("--config", g, "--workers", "2", "--out", go)
+        assert run_cli(*settings, "run") == 0
+        assert run_cli(*settings, "run", "--case", c, "--workers", "3", "--out", co) == 0
+        assert runs == [("g", 2, go), ("c", 3, co)]
+        assert build_parser().parse_args([*settings, "bench", "--mode", "strong"]).workers == [1, 2]
+        assert run_cli(*settings, "bench", "--mode", "strong", "--out", bo) == 0
+        assert [w for _, w, _ in runs[2:]] == [1, 2]
 
     def test_global_workers_applies(self, pipeline, capsys):
         root, cfg, tmp_path = pipeline

@@ -141,7 +141,7 @@ def whole_grid_month(daily_fields, profiles, d, year, month, offset_hours=0.0):
         sub = sub.transpose(2, 3, 0, 1).reshape(n_days * STEPS_PER_DAY, nj, ni)
         values[name] = compact(sub, d).astype(np.float32)
     time_axis = offset_hours + np.arange(n_days * STEPS_PER_DAY) * STEP_HOURS
-    return ForcingMonth(year, month, n_days * STEPS_PER_DAY, values, time_axis)
+    return ForcingMonth(year, month, values, time_axis)
 
 
 def with_zero_day(profiles, day=3):
@@ -618,5 +618,5 @@ class TestWindow:
         # Only February is opened, and no time axis is read: the February
         # records 18..26 (798h..822h), one slab per variable.
         assert opened == [files.paths[1]]
-        assert reads == [(name, (18, 0), (9, full.n_cols)) for name in VARIABLES]
+        assert reads == [(name, (18, 0), (9, files.n_cols)) for name in VARIABLES]
         np.testing.assert_array_equal(w.values["TBOT"], full.values["TBOT"][266:275])
